@@ -119,14 +119,15 @@ def transition_matrix(ts, length: int) -> TransitionMatrix:
             f"series of length {x.size} too short for transitions at window {length}"
         )
     codes = extract_patterns(x, length, step=1)
-    pairs = np.stack((codes[:-1], codes[1:]), axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    row_totals: dict = {}
-    for (src, _), n in zip(uniq, counts):
-        row_totals[int(src)] = row_totals.get(int(src), 0) + int(n)
+    # pairs of compact indices fit one int64 column at any length
+    distinct, index = np.unique(codes, return_inverse=True)
+    pairs, counts = np.unique(index[:-1] * distinct.size + index[1:], return_counts=True)
+    src, dst = np.divmod(pairs, distinct.size)
+    row_totals = np.bincount(src, weights=counts, minlength=distinct.size)
+    probs = counts / row_totals[src]
     rows: dict = {}
-    for (src, dst), n in zip(uniq, counts):
-        rows.setdefault(int(src), {})[int(dst)] = int(n) / row_totals[int(src)]
+    for source, target, p in zip(distinct[src].tolist(), distinct[dst].tolist(), probs.tolist()):
+        rows.setdefault(source, {})[target] = p
     return TransitionMatrix(length=length, rows=rows)
 
 
@@ -161,10 +162,9 @@ def finite_pc_curve(
 ) -> CensusCurve:
     """Distinct-pattern growth ln A(L, T) on a grid of series lengths.
 
-    Each realization r uses seed + r.  Scanning a realization stops early
-    once all L! patterns have been seen (the curve is exactly ln L! from
-    there on) or once the distinct count has been flat over the trailing
-    10% of the grid (the remaining grid points repeat the current value).
+    Each realization r uses seed + r.  A(L, T) counts the distinct codes
+    among the windows that lie inside the first T samples, i.e. the codes
+    whose first occurrence starts at or before T - L.
     """
     from .processgen import generate, replace_spec
 
@@ -177,27 +177,10 @@ def finite_pc_curve(
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
 
-    n_all = math.factorial(length)
-    flat_window = max(1, math.ceil(0.1 * grid.size))
-
     def one_realization(r: int) -> np.ndarray:
         series = generate(replace_spec(spec, t=int(grid[-1]), seed=seed + r)).samples
-        counts = np.zeros(grid.size, dtype=np.int64)
-        seen: set = set()
-        next_start = 0  # first window index not yet scanned
-        for i, t in enumerate(grid):
-            last_start = int(t) - length  # windows fully inside the first t samples
-            if last_start >= next_start:
-                chunk = extract_patterns(series[next_start : int(t)], length)
-                seen.update(np.unique(chunk).tolist())
-                next_start = last_start + 1
-            counts[i] = len(seen)
-            if counts[i] == n_all:
-                counts[i + 1 :] = n_all
-                break
-            if i >= flat_window and counts[i] == counts[i - flat_window]:
-                counts[i + 1 :] = counts[i]
-                break
+        _, first = np.unique(extract_patterns(series, length), return_index=True)
+        counts = np.searchsorted(np.sort(first), grid - length, side="right")
         return np.log(counts.astype(np.float64))
 
     from .complexity import _run_indexed

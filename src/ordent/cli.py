@@ -18,10 +18,7 @@ import numpy as np
 from . import complexity, logistic_exact, processgen, serialize
 from .census import census as run_census
 from .census import finite_pc_curve, forbidden_patterns
-from .patterns import decode_pattern
-
-_MAP_KINDS = ("logistic", "noisy-logistic", "noisy-cubic", "noisy-skew-tent")
-_DEFAULT_MAP_TRANSIENT = 1000
+from .patterns import MAX_PATTERN_LENGTH, decode_pattern
 
 
 class UsageError(Exception):
@@ -198,7 +195,7 @@ def _default_transient(spec: processgen.ProcessSpec, requested: Optional[int]) -
         if requested < 0:
             raise UsageError(f"transient must be >= 0, got {requested}")
         return requested
-    return _DEFAULT_MAP_TRANSIENT if spec.kind in _MAP_KINDS else 0
+    return spec.default_transient
 
 
 def _series_for(spec: processgen.ProcessSpec, transient: int) -> np.ndarray:
@@ -264,6 +261,8 @@ def cmd_generate(args) -> int:
 def cmd_census(args) -> int:
     if (args.input is None) == (args.process is None):
         raise UsageError("give exactly one of --input or --process")
+    if not 2 <= args.length <= MAX_PATTERN_LENGTH:
+        raise UsageError(f"pattern length must lie in 2..{MAX_PATTERN_LENGTH}, got {args.length}")
     if args.input is not None:
         samples = serialize.read_series(args.input)
         source = args.input
@@ -271,8 +270,6 @@ def cmd_census(args) -> int:
         spec = _spec_token(args, args.process)
         samples = _series_for(spec, _default_transient(spec, args.transient))
         source = spec.kind
-    if args.length < 2:
-        raise UsageError(f"pattern length must be >= 2, got {args.length}")
 
     dist = run_census(samples, args.length)
     meta = {

@@ -26,8 +26,6 @@ FACTORIAL = "factorial"
 SUBFACTORIAL = "subfactorial"
 CUSTOM = "custom"
 
-_MAP_KINDS = frozenset({"logistic", "noisy-logistic", "noisy-cubic", "noisy-skew-tent"})
-
 
 @dataclass(frozen=True)
 class ComplexityClass:
@@ -106,6 +104,13 @@ class ComplexityClass:
             return 1.0
         return float(self.g_inv_fn(0.0))
 
+    def entropy(self, r: float) -> float:
+        """g^-1(r) - g^-1(0): the class entropy of a Renyi entropy (or log count) r."""
+        if self.kind in (FACTORIAL, SUBFACTORIAL):
+            # exp(W(r / c)) - 1; expm1 keeps precision when r (hence W) is tiny
+            return float(np.expm1(lambert_w0(r / self.c)))
+        return self.g_inverse(r) - self.g_inverse_at_zero()
+
 
 def metric_perm_entropy(p, growth: ComplexityClass, alpha: float) -> float:
     """Class-tailored entropy g^-1(R_alpha(p)) - g^-1(0) of a pattern distribution.
@@ -116,21 +121,14 @@ def metric_perm_entropy(p, growth: ComplexityClass, alpha: float) -> float:
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    r = renyi(probabilities_of(p), alpha)
-    if growth.kind in (FACTORIAL, SUBFACTORIAL):
-        # expm1 keeps precision when R (hence W) is tiny
-        return float(np.expm1(lambert_w0(r / growth.c)))
-    return growth.g_inverse(r) - growth.g_inverse_at_zero()
+    return growth.entropy(renyi(probabilities_of(p), alpha))
 
 
 def topological_perm_entropy(allowed_count: int, growth: ComplexityClass) -> float:
     """g^-1(ln allowed_count) - g^-1(0): the alpha -> 0 counterpart."""
     if allowed_count < 1:
         raise ValueError(f"allowed_count must be >= 1, got {allowed_count}")
-    r = math.log(allowed_count)
-    if growth.kind in (FACTORIAL, SUBFACTORIAL):
-        return float(np.expm1(lambert_w0(r / growth.c)))
-    return growth.g_inverse(r) - growth.g_inverse_at_zero()
+    return growth.entropy(math.log(allowed_count))
 
 
 def composition_law_for(growth: ComplexityClass) -> CompositionLaw:
@@ -213,7 +211,7 @@ def entropy_rate(
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     if transient is None:
-        transient = 1000 if spec.kind in _MAP_KINDS else 0
+        transient = spec.default_transient
     for L in lengths:
         if t - L + 1 < 10 * math.factorial(L):
             warnings.warn(
@@ -221,8 +219,6 @@ def entropy_rate(
                 "pattern probabilities will be undersampled",
                 stacklevel=2,
             )
-
-    g0 = growth.g_inverse_at_zero()
 
     def one_realization(r: int) -> np.ndarray:
         series = generate(replace_spec(spec, t=t + transient, seed=seed + r)).samples
@@ -234,11 +230,7 @@ def entropy_rate(
             if alpha == 0:
                 z = topological_perm_entropy(dist.allowed_count, growth)
             else:
-                r_alpha = renyi(dist.prob_vector(), alpha)
-                if growth.kind in (FACTORIAL, SUBFACTORIAL):
-                    z = float(np.expm1(lambert_w0(r_alpha / growth.c)))
-                else:
-                    z = growth.g_inverse(r_alpha) - g0
+                z = growth.entropy(renyi(dist.prob_vector(), alpha))
             out[i] = z / L
         return out
 

@@ -25,6 +25,9 @@ PatternCode = int
 # A pattern itself is a tuple of ints forming a permutation of 0..L-1.
 OrdinalPattern = tuple
 
+# windows coded per pass: the encoder's temporary arrays stay small and in cache
+_CHUNK = 1 << 16
+
 
 @dataclass
 class TimeSeries:
@@ -34,12 +37,7 @@ class TimeSeries:
     meta: dict | None = None
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.samples, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("samples contain NaN or infinite entries")
-        self.samples = x
+        self.samples = as_samples(self.samples)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -52,8 +50,10 @@ def as_samples(ts) -> np.ndarray:
     x = np.ascontiguousarray(ts, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"series must be one-dimensional, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("series contains NaN or infinite entries")
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"series holds a non-finite sample ({x[first]}) at index {first}")
     return x
 
 
@@ -124,18 +124,49 @@ def decode_pattern(code: PatternCode, length: int) -> OrdinalPattern:
     return tuple(out)
 
 
-def _encode_windows(windows: np.ndarray) -> np.ndarray:
-    """Vectorized Lehmer coding of a (n, L) block of windows."""
-    length = windows.shape[1]
-    ranks = np.argsort(windows, axis=1, kind="stable")
-    # digit i counts later entries smaller than ranks[:, i]
-    later = np.triu(np.ones((length, length), dtype=bool), k=1)
-    smaller = ranks[:, :, None] > ranks[:, None, :]
-    digits = np.sum(smaller & later, axis=2, dtype=np.int64)
-    weights = np.array(
-        [factorial(length - 1 - i) for i in range(length)], dtype=np.int64
-    )
-    return digits @ weights
+def _rank_codes(x: np.ndarray, length: int, step: int, out: np.ndarray) -> None:
+    """Lehmer codes of the windows' rank vectors into ``out``, from lag comparisons alone.
+
+    Digit i of the window starting at k counts the later samples that are
+    smaller than x[k + i]: S_m[k + i] with m = L - 1 - i, where
+    S_m[a] = #{1 <= d <= m : x[a + d] < x[a]} is a running sum of the lag-d
+    comparison bits.  The strict comparison makes an equal later sample count
+    as larger, i.e. the earlier index is the smaller one.
+    """
+    t = x.size
+    span = (out.size - 1) * step + 1
+    later_smaller = np.zeros(t - 1, dtype=np.int8)  # S_m, updated in place for m = 1, 2, ...
+    term = np.empty_like(out)
+    out[:] = 0
+    for m in range(1, length):
+        later_smaller[: t - m] += x[m:] < x[: t - m]
+        first = length - 1 - m  # position i = L - 1 - m of window 0
+        np.multiply(
+            later_smaller[first : first + span : step], np.int64(factorial(m)), out=term
+        )
+        out += term
+
+
+def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
+    """Lehmer code of the inverse of each coded permutation, column by column."""
+    weights = np.array([factorial(length - 1 - i) for i in range(length)], dtype=np.int64)
+    # digits, then the permutation itself: undo the Lehmer code right to left
+    perm = []
+    rest = codes
+    for w in weights:
+        digit, rest = np.divmod(rest, w)
+        perm.append(digit.astype(np.int8))
+    for i in range(length - 2, -1, -1):
+        for j in range(i + 1, length):
+            perm[j] += perm[j] >= perm[i]
+    # the inverse's digit at position perm[q] counts the earlier, larger entries
+    out = np.zeros(codes.size, dtype=np.int64)
+    for q in range(1, length):
+        earlier_larger = np.zeros(codes.size, dtype=np.int8)
+        for p in range(q):
+            earlier_larger += perm[p] > perm[q]
+        out += earlier_larger * weights[perm[q]]
+    return out
 
 
 def extract_patterns(ts, length: int, step: int = 1) -> np.ndarray:
@@ -143,6 +174,10 @@ def extract_patterns(ts, length: int, step: int = 1) -> np.ndarray:
 
     Returns an int64 array of floor((T - L) / step) + 1 pattern codes, where
     entry k encodes the window starting at sample k * step.
+
+    The windows are coded by their rank vectors (no sort), and only the
+    distinct rank codes are turned into codes of the sorting permutation,
+    which is the inverse of the rank vector.
     """
     x = as_samples(ts)
     check_length(length)
@@ -150,12 +185,22 @@ def extract_patterns(ts, length: int, step: int = 1) -> np.ndarray:
         raise ValueError(f"step must be >= 1, got {step}")
     if x.size < length:
         raise ValueError(f"series of length {x.size} too short for windows of {length}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, length)[::step]
-    n = windows.shape[0]
+    n = (x.size - length) // step + 1
     codes = np.empty(n, dtype=np.int64)
-    # bound scratch memory: the pairwise comparison tensor is chunk * L * L bytes
-    chunk = max(1, (1 << 22) // (length * length))
-    for start in range(0, n, chunk):
-        block = windows[start : start + chunk]
-        codes[start : start + block.shape[0]] = _encode_windows(block)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        segment = x[start * step : (stop - 1) * step + length]
+        _rank_codes(segment, length, step, codes[start:stop])
+    n_patterns = factorial(length)
+    if n_patterns > n:
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return _inverse_codes(distinct, length)[inverse]
+    # a table over all L! codes costs no more than the windows themselves
+    seen = np.zeros(n_patterns, dtype=bool)
+    seen[codes] = True
+    distinct = np.flatnonzero(seen)
+    table = np.empty(n_patterns, dtype=np.int64)
+    table[distinct] = _inverse_codes(distinct, length)
+    for start in range(0, n, _CHUNK):
+        codes[start : start + _CHUNK] = table[codes[start : start + _CHUNK]]
     return codes

@@ -8,6 +8,7 @@ Gaussian variates come from numpy's ziggurat sampler on that stream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -25,6 +26,11 @@ NOISY_CUBIC = "noisy-cubic"
 NOISY_SKEW_TENT = "noisy-skew-tent"
 
 KINDS = (WHITE_NOISE, FGN, FBM, LOGISTIC, NOISY_LOGISTIC, NOISY_CUBIC, NOISY_SKEW_TENT)
+
+# map orbits start off their attractor: this many leading samples are
+# dropped before counting unless the caller asks otherwise
+MAP_KINDS = frozenset({LOGISTIC, NOISY_LOGISTIC, NOISY_CUBIC, NOISY_SKEW_TENT})
+MAP_TRANSIENT = 1000
 
 # the cubic map y -> 3y(1 - y^2) maps [-B, B] onto itself
 _CUBIC_BOUND = 2.0 / math.sqrt(3.0)
@@ -74,6 +80,11 @@ class ProcessSpec:
             lo = -bound if self.kind == NOISY_CUBIC else 0.0
             if not lo <= self.y0 <= bound:
                 raise ValueError(f"y0 must lie in [{lo:g}, {bound:g}], got {self.y0}")
+
+    @property
+    def default_transient(self) -> int:
+        """Leading samples to drop before counting: MAP_TRANSIENT for maps, else 0."""
+        return MAP_TRANSIENT if self.kind in MAP_KINDS else 0
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "t": self.t, "seed": self.seed}
@@ -231,22 +242,33 @@ def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(1)
     if hurst == 0.5:
         return rng.standard_normal(t)
+    coeff = _circulant_coefficients(t, hurst)
+    if coeff is None:
+        return _fgn_durbin_levinson(fgn_autocovariance(np.arange(t), hurst), rng)
+    return _fgn_circulant(coeff, t, rng)
+
+
+@functools.lru_cache(maxsize=4)
+def _circulant_coefficients(t: int, hurst: float) -> np.ndarray | None:
+    """sqrt(eigenvalue / 2t) of the circulant embedding of t fGn samples.
+
+    None when the embedding is not nonnegative definite.  Realizations of one
+    (t, hurst) share the result, hence the cache (at most four arrays of 2t
+    floats stay alive); the array is read-only.
+    """
     cov = fgn_autocovariance(np.arange(t), hurst)
-    eigenvalues = _circulant_eigenvalues(cov)
-    if (eigenvalues < -1e-9 * eigenvalues.max()).any():
-        return _fgn_durbin_levinson(cov, rng)
-    return _fgn_circulant(np.maximum(eigenvalues, 0.0), t, rng)
-
-
-def _circulant_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    t = cov.size
     # first row of the 2t-periodic embedding of the covariance sequence
     row = np.concatenate((cov, [0.0], cov[-1:0:-1]))
-    return np.fft.fft(row).real
+    eigenvalues = np.fft.fft(row).real
+    if (eigenvalues < -1e-9 * eigenvalues.max()).any():
+        return None
+    coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / eigenvalues.size)
+    coeff.flags.writeable = False
+    return coeff
 
 
-def _fgn_circulant(eigenvalues: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    m = eigenvalues.size  # = 2t
+def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
+    m = coeff.size  # = 2t
     z = np.empty(m, dtype=np.complex128)
     z[0] = rng.standard_normal()
     z[t] = rng.standard_normal()
@@ -254,7 +276,6 @@ def _fgn_circulant(eigenvalues: np.ndarray, t: int, rng: np.random.Generator) ->
     half = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
     z[1:t] = half
     z[t + 1 :] = np.conj(half[::-1])
-    coeff = np.sqrt(eigenvalues / m)
     return np.fft.fft(coeff * z).real[:t]
 
 

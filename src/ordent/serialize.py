@@ -34,7 +34,13 @@ def read_series_binary(path: str) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"{path}: unsupported version {version}")
-        return np.frombuffer(fh.read(), dtype="<f8").copy()
+        payload = fh.read()
+    if len(payload) % 8:
+        raise ValueError(
+            f"{path}: truncated payload: {len(payload)} bytes is not a whole number "
+            "of 8-byte samples"
+        )
+    return np.frombuffer(payload, dtype="<f8").copy()
 
 
 def write_series_csv(path_or_fh, samples: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Pattern counting, transitions, and distinct-pattern growth curves."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,14 +10,21 @@ from ordent import (
     PatternDistribution,
     census,
     encode_pattern,
+    fbm,
     finite_pc_curve,
     forbidden_patterns,
     generate,
     logistic,
     noisy_logistic,
+    pattern_of,
+    replace_spec,
     transition_matrix,
     white_noise,
 )
+
+
+def brute_force_codes(x, length):
+    return [encode_pattern(pattern_of(x[k : k + length])) for k in range(len(x) - length + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +157,23 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             transition_matrix(np.arange(3.0), 3)
 
+    @pytest.mark.parametrize("length", [2, 4, 7, 13])
+    def test_matches_brute_force(self, rng, length):
+        # a repeated block with a few flipped samples: rows with one and with
+        # several targets; at L = 13, (L!)^2 exceeds the int64 range
+        x = np.tile(rng.integers(0, 3, 40), 30).astype(float)
+        x[rng.integers(0, x.size, 25)] += 0.5
+        codes = brute_force_codes(x, length)
+        pairs = Counter(zip(codes[:-1], codes[1:]))
+        totals = Counter(codes[:-1])
+        expected = {}
+        for (src, dst), n in sorted(pairs.items()):
+            expected.setdefault(src, {})[dst] = n / totals[src]
+        tm = transition_matrix(x, length)
+        assert tm.rows == expected
+        assert list(tm.rows) == sorted(expected)
+        assert any(len(row) > 1 for row in tm.rows.values())
+
 
 class TestFinitePcCurve:
     def test_white_noise_saturates_at_log_factorial(self):
@@ -168,7 +193,20 @@ class TestFinitePcCurve:
         curve = finite_pc_curve(white_noise(2), 4, [4, 10], realizations=2, seed=9)
         assert curve.values[0] == 0.0
 
-    def test_logistic_flat_curve_stops_early(self):
+    @pytest.mark.parametrize("spec", [fbm(2, 0.9), noisy_logistic(2)], ids=lambda s: s.kind)
+    def test_matches_brute_force_on_cli_default_grid(self, spec):
+        # persistent fbm shows one pattern for a long stretch before others appear
+        length = 6
+        grid = sorted({int(round(v)) for v in np.geomspace(length, 15_000, 40)})
+        curve = finite_pc_curve(spec, length, grid, realizations=2, seed=0)
+        for r in range(2):
+            x = generate(replace_spec(spec, t=grid[-1], seed=r)).samples
+            codes = brute_force_codes(x, length)
+            expected = [math.log(len(set(codes[: t - length + 1]))) for t in grid]
+            assert curve.per_realization[r].tolist() == expected
+
+    def test_logistic_curve_ends_at_log_allowed_count(self):
+        # the logistic map at L = 3 allows 5 of the 6 patterns
         grid = list(range(3, 3003, 100))
         curve = finite_pc_curve(logistic(2, x0=0.3), 3, grid, realizations=1, seed=0)
         assert curve.values[-1] == pytest.approx(math.log(5), abs=1e-12)

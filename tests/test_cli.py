@@ -99,6 +99,27 @@ class TestCensus:
         assert run("census", "--input", str(bad), "--length", "2") == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["1", "21", "25"])
+    def test_length_out_of_range_exit_2_before_reading(self, tmp_path, capsys, length):
+        missing = tmp_path / "absent.csv"
+        assert run("census", "--input", str(missing), "--length", length) == 2
+        assert "2..20" in capsys.readouterr().err
+
+    def test_truncated_binary_payload_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "short.bin"
+        assert run("generate", "--process", "white-noise", "--t", "10",
+                   "--format", "binary", "--out", str(path)) == 0
+        path.write_bytes(path.read_bytes()[:-3])
+        assert run("census", "--input", str(path), "--length", "3") == 1
+        err = capsys.readouterr().err
+        assert "truncated payload" in err and "77 bytes" in err
+
+    def test_non_finite_sample_names_index_exit_1(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("1.0\n# comment\n2.0\n0.5\ninf\n3.0\nnan\n")
+        assert run("census", "--input", str(series), "--length", "2") == 1
+        assert "index 3" in capsys.readouterr().err
+
     def test_input_and_process_conflict(self):
         assert run("census", "--input", "x.csv", "--process", "white-noise",
                    "--length", "3") == 2

@@ -15,6 +15,7 @@ from ordent import (
     extract_patterns,
     pattern_of,
 )
+from ordent import patterns
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -105,14 +106,25 @@ class TestEncoding:
         assert decode_pattern(code, MAX_PATTERN_LENGTH) == p
 
 
-def brute_force_codes(x, length):
-    """Reference O(T * L^2) extractor used as an independent oracle."""
-    out = []
-    for start in range(len(x) - length + 1):
-        window = x[start : start + length]
-        order = sorted(range(length), key=lambda i: (window[i], i))
-        out.append(encode_pattern(tuple(order)))
-    return out
+def brute_force_codes(x, length, step=1):
+    """Reference extractor: pattern_of on every window, one at a time."""
+    return [
+        encode_pattern(pattern_of(x[start : start + length]))
+        for start in range(0, len(x) - length + 1, step)
+    ]
+
+
+# tie-heavy integer levels or continuous values, with enough samples for a window
+lengths = st.integers(min_value=2, max_value=MAX_PATTERN_LENGTH)
+steps = st.integers(min_value=1, max_value=4)
+levels = st.integers(min_value=1, max_value=4)
+
+
+def series_for(length, values):
+    """Between ``length`` and ``length + 60`` samples drawn from ``values``."""
+    return st.lists(values, min_size=length, max_size=length + 60).map(
+        lambda v: np.array(v, dtype=np.float64)
+    )
 
 
 class TestExtractPatterns:
@@ -133,15 +145,36 @@ class TestExtractPatterns:
         codes = extract_patterns(np.array([0.3, -0.5, 1.2, 0.7]), 4)
         assert codes.tolist() == [encode_pattern((1, 0, 3, 2))]
 
-    def test_matches_brute_force(self, rng):
-        x = rng.standard_normal(500)
-        for length in (2, 3, 5, 8):
-            assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
+    @given(st.data(), lengths, steps)
+    def test_matches_brute_force(self, data, length, step):
+        x = data.draw(series_for(length, finite_floats))
+        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
 
-    def test_matches_brute_force_with_ties(self, rng):
-        x = rng.integers(0, 4, size=300).astype(float)
-        for length in (2, 3, 4):
-            assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
+    @given(st.data(), lengths, steps, levels)
+    def test_matches_brute_force_with_ties(self, data, length, step, n_levels):
+        x = data.draw(series_for(length, st.integers(0, n_levels - 1)))
+        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+
+    @pytest.mark.parametrize("length", [2, 3, 5, 7])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_matches_brute_force_on_long_series(self, rng, length, step):
+        # more windows than patterns: codes go through the table over all L!
+        for x in (rng.standard_normal(6000), rng.integers(0, 4, 6000).astype(float)):
+            assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+
+    @pytest.mark.parametrize("length", [3, 9])
+    @pytest.mark.parametrize("step", [1, 4])
+    def test_matches_brute_force_across_chunks(self, rng, monkeypatch, length, step):
+        # windows coded 7 per pass; L = 3 maps through the L! table, L = 9 through np.unique
+        monkeypatch.setattr(patterns, "_CHUNK", 7)
+        x = rng.integers(0, 5, 400).astype(float)
+        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+
+    def test_extreme_codes_at_max_length(self):
+        x = np.arange(2.0 * MAX_PATTERN_LENGTH)
+        top = math.factorial(MAX_PATTERN_LENGTH) - 1
+        assert (extract_patterns(x, MAX_PATTERN_LENGTH) == 0).all()
+        assert (extract_patterns(-x, MAX_PATTERN_LENGTH) == top).all()
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -160,6 +193,11 @@ class TestTimeSeries:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             TimeSeries(samples=np.array([1.0, np.nan]))
+
+    def test_non_finite_error_names_first_index(self):
+        x = np.array([0.0, 1.0, np.inf, np.nan])
+        with pytest.raises(ValueError, match="index 2"):
+            extract_patterns(x, 2)
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):

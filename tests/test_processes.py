@@ -167,6 +167,20 @@ class TestFgnCovariance:
             se = 1.0 / math.sqrt(x.size)
             assert abs(np.mean(x[:-k] * x[k:])) < 3.0 * se
 
+    @pytest.mark.parametrize("make", [fgn, fbm], ids=["fgn", "fbm"])
+    def test_cached_embedding_gives_the_same_samples(self, make):
+        from ordent.processgen import _circulant_coefficients
+
+        spec = make(3_000, hurst=0.3, seed=21)
+        _circulant_coefficients.cache_clear()
+        first = generate(spec).samples
+        assert _circulant_coefficients.cache_info().currsize == 1
+        second = generate(spec).samples
+        assert _circulant_coefficients.cache_info().hits >= 1
+        assert np.array_equal(first, second)
+        coeff = _circulant_coefficients(spec.t - (make is fbm), 0.3)
+        assert not coeff.flags.writeable
+
     def test_durbin_levinson_agrees_with_embedding(self):
         # force the O(t^2) path and compare second-order statistics
         from ordent.processgen import _fgn_durbin_levinson
