@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,51 +17,54 @@ from .patterns import (
     as_samples,
 )
 
-# dense count arrays up to 10! entries; hash maps beyond
-_DENSE_LENGTH_LIMIT = 10
+# enumerating missing patterns builds all L! candidate codes
+_MISSING_LENGTH_LIMIT = 10
 
 
 @dataclass
 class PatternDistribution:
-    """Empirical (or synthetic) distribution over the L! patterns of one length."""
+    """Pattern census of one length: strictly ascending int64 ``codes``, positive ``counts``."""
 
     length: int
-    counts: dict
-    total: int
-    probs: dict = field(default_factory=dict)
+    codes: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        if self.total <= 0:
-            raise ValueError("total count must be positive")
-        if not self.probs:
-            self.probs = {c: n / self.total for c, n in self.counts.items() if n > 0}
+        check_length(self.length)
+        self.codes = np.asarray(self.codes, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        codes = self.codes
+        if codes.ndim != 1 or codes.shape != self.counts.shape or codes.size == 0:
+            raise ValueError("codes and counts must be non-empty 1-D arrays of one size")
+        if (np.diff(codes) <= 0).any() or codes[0] < 0 or codes[-1] >= math.factorial(self.length):
+            raise ValueError(f"codes must ascend strictly within [0, {self.length}!)")
+        if (self.counts <= 0).any():
+            raise ValueError("counts must be positive")
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self.counts / self.total
 
     @property
     def allowed_count(self) -> int:
-        return sum(1 for n in self.counts.values() if n > 0)
-
-    def prob_vector(self) -> np.ndarray:
-        """Positive probabilities as an array (order: ascending code)."""
-        codes = sorted(self.probs)
-        return np.array([self.probs[c] for c in codes], dtype=np.float64)
+        return int(self.codes.size)
 
     def probability(self, pattern) -> float:
-        return self.probs.get(_as_code(pattern), 0.0)
+        """Relative frequency of one pattern (a code or a rank tuple); 0.0 if unseen."""
+        code = _as_code(pattern)
+        i = int(np.searchsorted(self.codes, code))
+        if i < self.codes.size and self.codes[i] == code:
+            return float(self.counts[i] / self.total)
+        return 0.0
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, length: int) -> "PatternDistribution":
-        check_length(length)
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.size == 0:
-            raise ValueError("no pattern codes to count")
-        if length <= _DENSE_LENGTH_LIMIT:
-            dense = np.bincount(codes, minlength=math.factorial(length))
-            nz = np.flatnonzero(dense)
-            counts = {int(c): int(dense[c]) for c in nz}
-        else:
-            uniq, n = np.unique(codes, return_counts=True)
-            counts = {int(c): int(k) for c, k in zip(uniq, n)}
-        return cls(length=length, counts=counts, total=int(codes.size))
+        distinct, counts = np.unique(np.asarray(codes, dtype=np.int64), return_counts=True)
+        return cls(length=length, codes=distinct, counts=counts)
 
 
 def _as_code(pattern) -> PatternCode:
@@ -82,16 +85,13 @@ def forbidden_patterns(dist: PatternDistribution) -> set:
     These are *missing* patterns: absence in a finite sample does not prove
     a pattern can never occur for the underlying process.
     """
-    if dist.length > _DENSE_LENGTH_LIMIT:
+    if dist.length > _MISSING_LENGTH_LIMIT:
         raise ValueError(
             f"enumerating missing patterns at length {dist.length} would require "
-            f"{math.factorial(dist.length)} candidates; use length <= {_DENSE_LENGTH_LIMIT}"
+            f"{math.factorial(dist.length)} candidates; use length <= {_MISSING_LENGTH_LIMIT}"
         )
-    observed = np.fromiter(
-        (c for c, n in dist.counts.items() if n > 0), dtype=np.int64, count=-1
-    )
-    missing = np.setdiff1d(np.arange(math.factorial(dist.length), dtype=np.int64), observed)
-    return {int(c) for c in missing}
+    candidates = np.arange(math.factorial(dist.length), dtype=np.int64)
+    return set(np.setdiff1d(candidates, dist.codes, assume_unique=True).tolist())
 
 
 @dataclass
@@ -108,7 +108,7 @@ class TransitionMatrix:
         return self.rows.get(_as_code(source), {}).get(_as_code(target), 0.0)
 
     def row_patterns(self) -> list:
-        return [decode_pattern(c, self.length) for c in sorted(self.rows)]
+        return [tuple(r) for r in decode_pattern(sorted(self.rows), self.length).tolist()]
 
 
 def transition_matrix(ts, length: int) -> TransitionMatrix:

@@ -200,8 +200,7 @@ def _default_transient(spec: processgen.ProcessSpec, requested: Optional[int]) -
 
 def _series_for(spec: processgen.ProcessSpec, transient: int) -> np.ndarray:
     spec = processgen.replace_spec(spec, t=spec.t + transient)
-    samples = processgen.generate(spec).samples
-    return samples[transient:] if transient else samples
+    return processgen.generate(spec).samples[transient:]
 
 
 def _workers() -> int:
@@ -261,8 +260,7 @@ def cmd_generate(args) -> int:
 def cmd_census(args) -> int:
     if (args.input is None) == (args.process is None):
         raise UsageError("give exactly one of --input or --process")
-    if not 2 <= args.length <= MAX_PATTERN_LENGTH:
-        raise UsageError(f"pattern length must lie in 2..{MAX_PATTERN_LENGTH}, got {args.length}")
+    _check_length(args.length)
     if args.input is not None:
         samples = serialize.read_series(args.input)
         source = args.input
@@ -279,39 +277,35 @@ def cmd_census(args) -> int:
         "log_max_patterns": math.lgamma(args.length + 1.0),
         "source": source,
     }
-    rows = [
-        (code, decode_pattern(code, args.length), dist.counts[code], dist.probs[code])
-        for code in sorted(dist.probs)
-    ]
-    missing = sorted(forbidden_patterns(dist)) if args.report_missing else None
+    rows = zip(dist.codes.tolist(), decode_pattern(dist.codes, args.length).tolist(),
+               dist.counts.tolist(), dist.probs.tolist())
+    if args.report_missing:
+        missing = sorted(forbidden_patterns(dist))
+        missing_ranks = decode_pattern(missing, args.length).tolist()
+        caveat = "missing patterns are not necessarily forbidden"
 
     if args.format == "json":
         payload = {
             "meta": meta,
             "patterns": [
-                {"code": c, "ranks": list(p), "count": n, "probability": q}
-                for c, p, n, q in rows
+                {"code": c, "ranks": r, "count": n, "probability": q} for c, r, n, q in rows
             ],
         }
-        if missing is not None:
-            payload["missing"] = [
-                {"code": c, "ranks": list(decode_pattern(c, args.length))} for c in missing
-            ]
-            payload["caveat"] = "missing patterns are not necessarily forbidden"
+        if args.report_missing:
+            payload["missing"] = [{"code": c, "ranks": r} for c, r in zip(missing, missing_ranks)]
+            payload["caveat"] = caveat
         serialize.write_json(args.out, payload)
     else:
-        out_rows = [(c, p, n, q) for c, p, n, q in rows]
-        if missing is not None:
-            meta = dict(meta)
-            meta["missing"] = "|".join(
-                serialize.format_value(decode_pattern(c, args.length)) for c in missing
-            )
-            meta["caveat"] = "missing patterns are not necessarily forbidden"
-        serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"), out_rows, meta)
+        if args.report_missing:
+            meta["missing"] = "|".join(serialize.format_value(r) for r in missing_ranks)
+            meta["caveat"] = caveat
+        serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"), rows, meta)
     return 0
 
 
 def cmd_pc_curve(args) -> int:
+    _check_length(args.length)
+    _check_realizations(args.realizations)
     specs = [_spec_token(args, token) for token in args.process]
     if args.t_grid is not None:
         try:
@@ -327,8 +321,6 @@ def cmd_pc_curve(args) -> int:
         )
     if not grid or grid[0] < args.length:
         raise UsageError("t grid must start at or above the pattern length")
-    if args.realizations < 1:
-        raise UsageError("realizations must be >= 1")
 
     rows = []
     for spec in specs:
@@ -340,15 +332,9 @@ def cmd_pc_curve(args) -> int:
         for t, mean, std in zip(curve.t_grid, curve.values, curve.stddev):
             rows.append((label, args.length, int(t), float(mean), float(std)))
     rows.sort(key=lambda r: (r[0], r[2]))
-    meta = {"L": args.length, "realizations": args.realizations, "seed": args.seed,
+    meta = {"L": args.length, "realizations": args.realizations, "seed": args.seed, "transient": 0,
             "log_max_patterns": math.lgamma(args.length + 1.0)}
-    if args.format == "json":
-        serialize.write_json(args.out, {
-            "meta": meta,
-            "rows": [dict(zip(("process", "L", "T", "g_mean", "g_stddev"), r)) for r in rows],
-        })
-    else:
-        serialize.write_table_csv(args.out, ("process", "L", "T", "g_mean", "g_stddev"), rows, meta)
+    _write_rows(args, ("process", "L", "T", "g_mean", "g_stddev"), rows, meta)
     return 0
 
 
@@ -357,24 +343,22 @@ def cmd_entropy(args) -> int:
     alphas = _parse_alphas(args.alpha)
     growth = _growth_from_args(args)
     lengths = _length_range(args)
+    _check_realizations(args.realizations)
     rows = []
     for spec in specs:
+        transient = _default_transient(spec, args.transient)
         for alpha in alphas:
             estimate = complexity.entropy_rate(
                 spec, growth, alpha, lengths, t=args.t,
                 realizations=args.realizations, seed=args.seed,
-                transient=args.transient, workers=_workers(),
+                transient=transient, workers=_workers(),
             )
             label = _process_label(spec)
             for L, value in zip(estimate.lengths, estimate.values):
                 rows.append((label, L, alpha, growth.label, float(value)))
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
     meta = {"t": args.t, "realizations": args.realizations, "seed": args.seed}
-    columns = ("process", "L", "alpha", "class", "z_over_l")
-    if args.format == "json":
-        serialize.write_json(args.out, {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]})
-    else:
-        serialize.write_table_csv(args.out, columns, rows, meta)
+    _write_rows(args, ("process", "L", "alpha", "class", "z_over_l"), rows, meta)
     return 0
 
 
@@ -382,10 +366,11 @@ def cmd_rate(args) -> int:
     spec = _spec_token(args, args.process)
     growth = _growth_from_args(args)
     lengths = _length_range(args)
+    _check_realizations(args.realizations)
     estimate = complexity.entropy_rate(
         spec, growth, args.alpha, lengths, t=args.t,
         realizations=args.realizations, seed=args.seed,
-        transient=args.transient, workers=_workers(),
+        transient=_default_transient(spec, args.transient), workers=_workers(),
     )
     meta = {
         "process": _process_label(spec), "alpha": args.alpha, "class": growth.label,
@@ -393,10 +378,7 @@ def cmd_rate(args) -> int:
         "final": estimate.final,
     }
     rows = [(L, float(v)) for L, v in zip(estimate.lengths, estimate.values)]
-    if args.format == "json":
-        serialize.write_json(args.out, {"meta": meta, "rows": [dict(zip(("L", "z_over_l"), r)) for r in rows]})
-    else:
-        serialize.write_table_csv(args.out, ("L", "z_over_l"), rows, meta)
+    _write_rows(args, ("L", "z_over_l"), rows, meta)
     return 0
 
 
@@ -407,12 +389,9 @@ def cmd_classify(args) -> int:
         pairs = _read_growth_pairs(args.input)
     else:
         spec = _spec_token(args, args.process)
-        transient = _default_transient(spec, args.transient)
-        samples = _series_for(spec, transient)
-        pairs = []
-        for L in _length_range(args):
-            dist = run_census(samples, L)
-            pairs.append((L, math.log(dist.allowed_count)))
+        lengths = _length_range(args)
+        samples = _series_for(spec, _default_transient(spec, args.transient))
+        pairs = [(L, math.log(run_census(samples, L).allowed_count)) for L in lengths]
     try:
         fit = complexity.classify_growth(pairs)
     except ValueError as exc:
@@ -425,13 +404,7 @@ def cmd_classify(args) -> int:
     for name, value in sorted(fit.rss.items()):
         meta[f"rss[{name}]"] = value
     rows = [(L, y, float(r)) for (L, y), r in zip(pairs, fit.residuals)]
-    if args.format == "json":
-        serialize.write_json(args.out, {
-            "meta": meta,
-            "rows": [dict(zip(("L", "ln_allowed", "residual"), r)) for r in rows],
-        })
-    else:
-        serialize.write_table_csv(args.out, ("L", "ln_allowed", "residual"), rows, meta)
+    _write_rows(args, ("L", "ln_allowed", "residual"), rows, meta)
     return 0
 
 
@@ -468,10 +441,28 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _write_rows(args, columns: Sequence[str], rows: list, meta: dict) -> None:
+    """A command's table as CSV with '#' metadata comments, or as JSON meta plus rows."""
+    if args.format == "json":
+        serialize.write_json(args.out, {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]})
+    else:
+        serialize.write_table_csv(args.out, columns, rows, meta)
+
+
+def _check_length(length: int) -> None:
+    if not 2 <= length <= MAX_PATTERN_LENGTH:
+        raise UsageError(f"pattern length must lie in 2..{MAX_PATTERN_LENGTH}, got {length}")
+
+
 def _length_range(args) -> List[int]:
-    if args.l_min < 2 or args.l_max < args.l_min:
-        raise UsageError(f"need 2 <= l-min <= l-max, got {args.l_min}..{args.l_max}")
+    if not 2 <= args.l_min <= args.l_max <= MAX_PATTERN_LENGTH:
+        raise UsageError(f"need l-min <= l-max in 2..{MAX_PATTERN_LENGTH}, got {args.l_min}..{args.l_max}")
     return list(range(args.l_min, args.l_max + 1))
+
+
+def _check_realizations(realizations: int) -> None:
+    if realizations < 1:
+        raise UsageError(f"realizations must be >= 1, got {realizations}")
 
 
 def _process_label(spec: processgen.ProcessSpec) -> str:

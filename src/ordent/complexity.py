@@ -212,6 +212,8 @@ def entropy_rate(
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     if transient is None:
         transient = spec.default_transient
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     for L in lengths:
         if t - L + 1 < 10 * math.factorial(L):
             warnings.warn(
@@ -221,16 +223,14 @@ def entropy_rate(
             )
 
     def one_realization(r: int) -> np.ndarray:
-        series = generate(replace_spec(spec, t=t + transient, seed=seed + r)).samples
-        if transient:
-            series = series[transient:]
+        series = generate(replace_spec(spec, t=t + transient, seed=seed + r)).samples[transient:]
         out = np.empty(len(lengths))
         for i, L in enumerate(lengths):
             dist = census(series, L)
             if alpha == 0:
                 z = topological_perm_entropy(dist.allowed_count, growth)
             else:
-                z = growth.entropy(renyi(dist.prob_vector(), alpha))
+                z = growth.entropy(renyi(dist.probs, alpha))
             out[i] = z / L
         return out
 

@@ -52,14 +52,12 @@ def _validate_probs(p: np.ndarray) -> None:
 def probabilities_of(p) -> np.ndarray:
     """Extract a validated probability vector from the accepted input kinds.
 
-    Accepts a Distribution, a pattern-census distribution (anything exposing
-    ``prob_vector()``), or a raw sequence of probabilities.
+    Accepts a Distribution, a pattern census (both expose a ``probs``
+    array), or a raw sequence of probabilities.
     """
-    if isinstance(p, Distribution):
-        return p.probs
-    vec = getattr(p, "prob_vector", None)
-    if callable(vec):
-        return vec()
+    probs = getattr(p, "probs", None)
+    if probs is not None:
+        return probs
     arr = np.asarray(p, dtype=np.float64)
     _validate_probs(arr)
     return arr

@@ -109,19 +109,36 @@ def encode_pattern(pattern: Sequence[int]) -> PatternCode:
     return code
 
 
-def decode_pattern(code: PatternCode, length: int) -> OrdinalPattern:
-    """Pattern whose lexicographic rank is ``code`` among length-``length`` permutations."""
+def decode_pattern(code, length: int):
+    """Pattern whose lexicographic rank is ``code`` among length-``length`` permutations.
+
+    An array of n codes gives an (n, length) int8 array of rank rows.
+    """
     check_length(length)
-    code = int(code)
-    if not 0 <= code < factorial(length):
-        raise ValueError(f"code {code} out of range for length {length}")
-    remaining = list(range(length))
-    out = []
+    codes = np.asarray(code)
+    bad = (codes < 0) | (codes >= factorial(length))
+    if bad.any():
+        raise ValueError(f"code {codes[bad][0]} out of range for length {length}")
+    if codes.ndim == 0:
+        return tuple(int(c) for c in _lehmer_columns(np.int64(codes), length))
+    return np.column_stack(_lehmer_columns(codes.astype(np.int64).reshape(-1), length))
+
+
+def _lehmer_columns(codes: np.ndarray, length: int) -> list:
+    """The permutations that ``codes`` rank, one int8 column (or scalar) per position.
+
+    Splits each code into its Lehmer digits (digit i counts the later entries
+    smaller than entry i), then undoes the digits right to left.
+    """
+    perm = []
+    rest = codes
     for i in range(length):
-        f = factorial(length - 1 - i)
-        idx, code = divmod(code, f)
-        out.append(remaining.pop(idx))
-    return tuple(out)
+        digit, rest = np.divmod(rest, factorial(length - 1 - i))
+        perm.append(digit.astype(np.int8))
+    for i in range(length - 2, -1, -1):
+        for j in range(i + 1, length):
+            perm[j] += perm[j] >= perm[i]
+    return perm
 
 
 def _rank_codes(x: np.ndarray, length: int, step: int, out: np.ndarray) -> None:
@@ -150,15 +167,7 @@ def _rank_codes(x: np.ndarray, length: int, step: int, out: np.ndarray) -> None:
 def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
     """Lehmer code of the inverse of each coded permutation, column by column."""
     weights = np.array([factorial(length - 1 - i) for i in range(length)], dtype=np.int64)
-    # digits, then the permutation itself: undo the Lehmer code right to left
-    perm = []
-    rest = codes
-    for w in weights:
-        digit, rest = np.divmod(rest, w)
-        perm.append(digit.astype(np.int8))
-    for i in range(length - 2, -1, -1):
-        for j in range(i + 1, length):
-            perm[j] += perm[j] >= perm[i]
+    perm = _lehmer_columns(codes, length)
     # the inverse's digit at position perm[q] counts the earlier, larger entries
     out = np.zeros(codes.size, dtype=np.int64)
     for q in range(1, length):

@@ -73,7 +73,7 @@ def read_series(path: str) -> np.ndarray:
 def format_value(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return "-".join(str(int(x)) for x in v)
     return str(v)
 

@@ -14,6 +14,7 @@ from ordent import (
     ComplexityClass,
     census,
     composition_law_for,
+    decode_pattern,
     encode_pattern,
     entropy_rate,
     exact_transition_probs,
@@ -116,15 +117,9 @@ def test_criterion_06_noisy_period3_census():
     ).samples[transient:]
     dist = census(series, 3)
     allowed = {pat for pat in ((0, 1, 2), (1, 2, 0), (2, 0, 1))}
-    got = {tuple(_decode3(c)) for c in dist.probs}
+    got = {tuple(r) for r in decode_pattern(dist.codes, 3).tolist()}
     report(6, "noisy period-3 logistic allows exactly the 3 cyclic patterns",
            got == allowed, f"got {sorted(got)}")
-
-
-def _decode3(code):
-    from ordent import decode_pattern
-
-    return decode_pattern(code, 3)
 
 
 def test_criterion_07_lambert_suite():

@@ -5,10 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ordent import (
+    MAX_PATTERN_LENGTH,
     PatternDistribution,
     census,
+    decode_pattern,
     encode_pattern,
     fbm,
     finite_pc_curve,
@@ -39,12 +42,13 @@ class TestCensus:
         dist = census(series, 3)
         assert dist.allowed_count == 6
         for code in range(6):
-            assert dist.probs[code] == pytest.approx(1.0 / 6.0, abs=0.01)
+            assert dist.probability(code) == pytest.approx(1.0 / 6.0, abs=0.01)
 
     def test_logistic_misses_descending_pattern(self, logistic_orbit):
         dist = census(logistic_orbit[:100_000], 3)
         assert dist.allowed_count == 5
-        assert encode_pattern((2, 1, 0)) not in dist.probs
+        assert encode_pattern((2, 1, 0)) not in dist.codes
+        assert dist.probability((2, 1, 0)) == 0.0
 
     def test_logistic_probabilities_match_arcsine_law(self, logistic_orbit):
         # closed-form cell measures under the stationary density
@@ -71,13 +75,44 @@ class TestCensus:
 
     def test_probability_normalization(self):
         dist = census(generate(white_noise(5_000, seed=2)), 4)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert sum(dist.counts.values()) == dist.total
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.counts.sum() == dist.total
 
     def test_from_counts_roundtrip(self):
-        dist = PatternDistribution(length=3, counts={0: 3, 2: 1}, total=4)
+        dist = PatternDistribution(length=3, codes=[0, 2], counts=[3, 1])
         assert dist.allowed_count == 2
-        assert dist.prob_vector().tolist() == [0.75, 0.25]
+        assert dist.total == 4
+        assert dist.probs.tolist() == [0.75, 0.25]
+
+    @given(st.data())
+    def test_from_codes_matches_counter(self, data):
+        length = data.draw(st.integers(2, MAX_PATTERN_LENGTH))
+        pool = data.draw(
+            st.lists(st.integers(0, math.factorial(length) - 1), min_size=1, max_size=8)
+        )
+        codes = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))
+        dist = PatternDistribution.from_codes(np.array(codes, dtype=np.int64), length)
+        expected = sorted(Counter(codes).items())
+        assert list(zip(dist.codes.tolist(), dist.counts.tolist())) == expected
+        assert dist.codes.dtype == dist.counts.dtype == np.int64
+        assert dist.total == len(codes)
+
+    @pytest.mark.parametrize(
+        "codes, counts",
+        [
+            ([], []),
+            ([0, 1], [1]),
+            ([[0, 1]], [[1, 1]]),
+            ([1, 0], [1, 1]),
+            ([2, 2], [1, 1]),
+            ([0, 1], [1, 0]),
+            ([0, 6], [1, 1]),
+        ],
+        ids=["empty", "sizes", "2-d", "descending", "repeated", "zero-count", "out-of-range"],
+    )
+    def test_constructor_rejects_malformed_census(self, codes, counts):
+        with pytest.raises(ValueError):
+            PatternDistribution(length=3, codes=codes, counts=counts)
 
 
 class TestForbiddenPatterns:
@@ -96,18 +131,12 @@ class TestForbiddenPatterns:
         allowed = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
         missing = {encode_pattern(p) for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0))}
         assert forbidden_patterns(dist) == missing
-        assert {tuple(p) for p in map(lambda c: tuple(_decode(c)), dist.probs)} == allowed
+        assert {tuple(r) for r in decode_pattern(dist.codes, 3).tolist()} == allowed
 
     def test_refuses_huge_lengths(self):
-        dist = PatternDistribution(length=12, counts={0: 1}, total=1)
+        dist = PatternDistribution(length=12, codes=[0], counts=[1])
         with pytest.raises(ValueError):
             forbidden_patterns(dist)
-
-
-def _decode(code):
-    from ordent import decode_pattern
-
-    return decode_pattern(code, 3)
 
 
 class TestTransitionMatrix:
@@ -148,8 +177,8 @@ class TestTransitionMatrix:
         x = logistic_orbit[:1_000_000]
         dist = census(x, 3)
         tm = transition_matrix(x, 3)
-        codes = sorted(dist.probs)
-        pi = np.array([dist.probs[c] for c in codes])
+        codes = dist.codes.tolist()
+        pi = dist.probs
         p_matrix = np.array([[tm.probability(r, c) for c in codes] for r in codes])
         assert np.max(np.abs(pi @ p_matrix - pi)) < 1e-3
 

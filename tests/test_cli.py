@@ -99,10 +99,23 @@ class TestCensus:
         assert run("census", "--input", str(bad), "--length", "2") == 1
         assert ":2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("length", ["1", "21", "25"])
-    def test_length_out_of_range_exit_2_before_reading(self, tmp_path, capsys, length):
-        missing = tmp_path / "absent.csv"
-        assert run("census", "--input", str(missing), "--length", length) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["census", "--input", "ABSENT", "--length", "1"], id="1"),
+            pytest.param(["census", "--input", "ABSENT", "--length", "21"], id="21"),
+            pytest.param(["census", "--input", "ABSENT", "--length", "25"], id="25"),
+            pytest.param(["classify", "--process", "white-noise", "--l-max", "21"],
+                         id="classify-21"),
+            pytest.param(["pc-curve", "--process", "white-noise", "--length", "21"],
+                         id="pc-curve-21"),
+            pytest.param(["entropy", "--process", "white-noise", "--l-min", "1"], id="entropy-1"),
+            pytest.param(["rate", "--process", "white-noise", "--l-max", "21"], id="rate-21"),
+        ],
+    )
+    def test_length_out_of_range_exit_2_before_reading(self, tmp_path, capsys, argv):
+        absent = str(tmp_path / "absent.csv")
+        assert run(*[absent if a == "ABSENT" else a for a in argv]) == 2
         assert "2..20" in capsys.readouterr().err
 
     def test_truncated_binary_payload_exit_1(self, tmp_path, capsys):
@@ -134,6 +147,7 @@ class TestPcCurve:
         rows = [l.split(",") for l in out.read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("process")]
         assert all(r[0] == "white-noise" and r[1] == "4" for r in rows)
+        assert "# transient=0\n" in out.read_text()
         final_g = float(rows[-1][3])
         assert final_g == pytest.approx(math.log(24), abs=1e-9)
 
@@ -171,6 +185,20 @@ class TestEntropyAndRate:
         assert payload["meta"]["final"] == payload["rows"][-1]["z_over_l"]
         zs = [row["z_over_l"] for row in payload["rows"]]
         assert zs == sorted(zs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--process", "logistic", "--t", "60000", "--transient", "-30000"],
+            ["entropy", "--process", "logistic", "--transient", "-1"],
+            ["rate", "--process", "white-noise", "-R", "0"],
+            ["entropy", "--process", "white-noise", "-R", "0"],
+        ],
+        ids=["rate-transient", "entropy-transient", "rate-R", "entropy-R"],
+    )
+    def test_bad_transient_or_realizations_exit_2(self, capsys, argv):
+        assert run(*argv) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_subfactorial_requires_c(self):
         assert run("rate", "--process", "white-noise", "--class", "subfactorial",

@@ -242,6 +242,13 @@ class TestEntropyRate:
                 t=2_000, realizations=1, seed=0,
             )
 
+    def test_rejects_negative_transient(self):
+        with pytest.raises(ValueError, match="transient"):
+            entropy_rate(
+                logistic(1_000), ComplexityClass.factorial(), alpha=1.0, l_range=[3],
+                t=1_000, realizations=1, seed=0, transient=-1,
+            )
+
     def test_workers_do_not_change_results(self):
         fac = ComplexityClass.factorial()
         kwargs = dict(l_range=range(3, 5), t=5_000, realizations=4, seed=9)

@@ -89,11 +89,28 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_pattern((1, 2, 3))
 
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7])
+    def test_array_decode_is_lexicographic(self, length):
+        rows = decode_pattern(np.arange(math.factorial(length)), length)
+        assert rows.dtype == np.int8 and rows.shape == (math.factorial(length), length)
+        assert [tuple(r) for r in rows.tolist()] == list(itertools.permutations(range(length)))
+
+    def test_array_decode_roundtrip_at_max_length(self, rng):
+        codes = rng.integers(0, math.factorial(MAX_PATTERN_LENGTH), 500, dtype=np.int64)
+        codes[:2] = 0, math.factorial(MAX_PATTERN_LENGTH) - 1
+        rows = decode_pattern(codes, MAX_PATTERN_LENGTH)
+        assert [encode_pattern(r) for r in rows.tolist()] == codes.tolist()
+        assert tuple(rows[7].tolist()) == decode_pattern(int(codes[7]), MAX_PATTERN_LENGTH)
+
     def test_decode_range_check(self):
         with pytest.raises(ValueError):
             decode_pattern(6, 3)
         with pytest.raises(ValueError):
             decode_pattern(-1, 3)
+        with pytest.raises(ValueError, match="code 6"):
+            decode_pattern(np.array([0, 5, 6]), 3)
+        with pytest.raises(ValueError):
+            decode_pattern(np.array([-1]), 3)
 
     def test_length_cap(self):
         with pytest.raises(ValueError):
