@@ -79,8 +79,8 @@ def census(ts, length: int) -> PatternDistribution:
     return PatternDistribution.from_codes(codes, length)
 
 
-def forbidden_patterns(dist: PatternDistribution) -> set:
-    """Codes never observed in the census.
+def forbidden_patterns(dist: PatternDistribution) -> np.ndarray:
+    """Codes never observed in the census, ascending (int64).
 
     These are *missing* patterns: absence in a finite sample does not prove
     a pattern can never occur for the underlying process.
@@ -91,7 +91,7 @@ def forbidden_patterns(dist: PatternDistribution) -> set:
             f"{math.factorial(dist.length)} candidates; use length <= {_MISSING_LENGTH_LIMIT}"
         )
     candidates = np.arange(math.factorial(dist.length), dtype=np.int64)
-    return set(np.setdiff1d(candidates, dist.codes, assume_unique=True).tolist())
+    return np.setdiff1d(candidates, dist.codes, assume_unique=True)
 
 
 @dataclass

@@ -277,29 +277,34 @@ def cmd_census(args) -> int:
         "log_max_patterns": math.lgamma(args.length + 1.0),
         "source": source,
     }
-    rows = zip(dist.codes.tolist(), decode_pattern(dist.codes, args.length).tolist(),
-               dist.counts.tolist(), dist.probs.tolist())
+    ranks = decode_pattern(dist.codes, args.length)
     if args.report_missing:
-        missing = sorted(forbidden_patterns(dist))
-        missing_ranks = decode_pattern(missing, args.length).tolist()
+        missing = forbidden_patterns(dist)
         caveat = "missing patterns are not necessarily forbidden"
 
     if args.format == "json":
         payload = {
             "meta": meta,
             "patterns": [
-                {"code": c, "ranks": r, "count": n, "probability": q} for c, r, n, q in rows
+                {"code": c, "ranks": r, "count": n, "probability": q}
+                for c, r, n, q in zip(dist.codes.tolist(), ranks.tolist(),
+                                      dist.counts.tolist(), dist.probs.tolist())
             ],
         }
         if args.report_missing:
-            payload["missing"] = [{"code": c, "ranks": r} for c, r in zip(missing, missing_ranks)]
+            payload["missing"] = [
+                {"code": c, "ranks": r}
+                for c, r in zip(missing.tolist(), decode_pattern(missing, args.length).tolist())
+            ]
             payload["caveat"] = caveat
         serialize.write_json(args.out, payload)
     else:
         if args.report_missing:
-            meta["missing"] = "|".join(serialize.format_value(r) for r in missing_ranks)
+            meta["missing"] = serialize.join_rank_rows(
+                missing, lambda codes: decode_pattern(codes, args.length))
             meta["caveat"] = caveat
-        serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"), rows, meta)
+        serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"),
+                                  (dist.codes, ranks, dist.counts, dist.probs), meta)
     return 0
 
 
@@ -446,7 +451,7 @@ def _write_rows(args, columns: Sequence[str], rows: list, meta: dict) -> None:
     if args.format == "json":
         serialize.write_json(args.out, {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]})
     else:
-        serialize.write_table_csv(args.out, columns, rows, meta)
+        serialize.write_table_csv(args.out, columns, zip(*rows), meta)
 
 
 def _check_length(length: int) -> None:

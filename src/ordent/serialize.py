@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import struct
 import sys
@@ -14,6 +14,9 @@ SCHEMA_VERSION = 1
 
 _MAGIC = b"ORDENTS1"
 _HEADER = struct.Struct("<8sII")  # magic, version, reserved
+
+# rows formatted by one %-operation; bounds the text held in memory at once
+_BLOCK = 1 << 14
 
 
 def write_series_binary(path: str, samples: np.ndarray) -> None:
@@ -45,8 +48,7 @@ def read_series_binary(path: str) -> np.ndarray:
 
 def write_series_csv(path_or_fh, samples: np.ndarray) -> None:
     """One sample per line, full round-trip precision."""
-    lines = "\n".join(format(v, ".17g") for v in samples)
-    _write_text(path_or_fh, lines + "\n")
+    _write_blocks(path_or_fh, [], "%.17g\n", [np.asarray(samples, dtype=np.float64)])
 
 
 def read_series(path: str) -> np.ndarray:
@@ -71,23 +73,60 @@ def read_series(path: str) -> np.ndarray:
 
 
 def format_value(v) -> str:
+    """A '#' metadata value: floats at round-trip precision, anything else by str."""
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, (tuple, list)):
-        return "-".join(str(int(x)) for x in v)
     return str(v)
 
 
-def write_table_csv(path_or_fh, columns: Sequence[str], rows: Iterable[Sequence], meta: dict | None = None) -> None:
-    """Comma-separated table with '#'-prefixed header comments."""
-    buf = io.StringIO()
-    buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-    for key, value in (meta or {}).items():
-        buf.write(f"# {key}={format_value(value)}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(format_value(v) for v in row) + "\n")
-    _write_text(path_or_fh, buf.getvalue())
+def write_table_csv(path_or_fh, columns: Sequence[str], data: Iterable, meta: dict | None = None) -> None:
+    """Comma-separated table with '#'-prefixed header comments.
+
+    ``data`` holds the table by columns, in the order of ``columns``: each is
+    a 1-D sequence, or an ``(n, k)`` integer array of rank rows that prints as
+    ``a-b-...``.  Floats print as ``format(v, ".17g")``, integers as ``str``.
+    """
+    head = [f"# schema_version={SCHEMA_VERSION}\n"]
+    head += [f"# {key}={format_value(value)}\n" for key, value in (meta or {}).items()]
+    head.append(",".join(columns) + "\n")
+    cols = [np.asarray(c) for c in data]
+    _write_blocks(path_or_fh, head, ",".join(map(_cell_format, cols)) + "\n", cols)
+
+
+def join_rank_rows(codes: np.ndarray, decode) -> str:
+    """Pattern codes as one ``a-b-...|c-d-...`` string.
+
+    ``decode`` maps an array of codes to ``(n, L)`` rank rows; it is called
+    on _BLOCK codes at a time, so only the text is held whole.
+    """
+    blocks = (decode(codes[lo:lo + _BLOCK]) for lo in range(0, len(codes), _BLOCK))
+    return "|".join(_format_rows(_cell_format(b), [b], "|") for b in blocks)
+
+
+def _cell_format(col: np.ndarray) -> str:
+    if col.ndim == 2:
+        return "-".join(["%d"] * col.shape[1])
+    if col.dtype.kind == "f":
+        return "%.17g"
+    if col.dtype.kind in "iu":
+        return "%d"
+    return "%s"
+
+
+def _format_rows(row: str, cols: list, sep: str = "") -> str:
+    """Every row of ``cols`` through the %-format ``row``, joined by ``sep``, in one operation."""
+    cells = np.hstack([c.reshape(len(c), -1).astype(object) for c in cols])
+    return sep.join([row] * len(cells)) % tuple(cells.ravel())
+
+
+def _write_blocks(path_or_fh, head: list, row: str, cols: list) -> None:
+    """The ``head`` lines, then the rows of ``cols`` formatted and written _BLOCK at a time."""
+    n = len(cols[0]) if cols else 0
+    with _destination(path_or_fh) as fh:
+        for line in head:  # one write each: a '# missing=' line can be tens of MB
+            _write_text(fh, line)
+        for lo in range(0, n, _BLOCK):
+            _write_text(fh, _format_rows(row, [c[lo:lo + _BLOCK] for c in cols]))
 
 
 def write_json(path_or_fh, payload: dict) -> None:
@@ -106,11 +145,18 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _write_text(path_or_fh, text: str) -> None:
+@contextlib.contextmanager
+def _destination(path_or_fh):
+    """stdout for None, an open handle as given, a path opened once for writing."""
     if path_or_fh is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     elif hasattr(path_or_fh, "write"):
-        path_or_fh.write(text)
+        yield path_or_fh
     else:
         with open(path_or_fh, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(path_or_fh, text: str) -> None:
+    with _destination(path_or_fh) as fh:
+        fh.write(text)

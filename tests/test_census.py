@@ -118,19 +118,21 @@ class TestCensus:
 class TestForbiddenPatterns:
     def test_logistic(self, logistic_orbit):
         dist = census(logistic_orbit[:100_000], 3)
-        assert forbidden_patterns(dist) == {encode_pattern((2, 1, 0))}
+        assert forbidden_patterns(dist).tolist() == [encode_pattern((2, 1, 0))]
 
     def test_white_noise_has_none(self):
         for length in (2, 3, 4, 5):
             dist = census(generate(white_noise(300_000, seed=3)), length)
-            assert forbidden_patterns(dist) == set()
+            assert forbidden_patterns(dist).size == 0
 
     def test_noisy_periodic_logistic(self):
         series = generate(noisy_logistic(101_000, a=3.835, eps=0.001, seed=4)).samples[1000:]
         dist = census(series, 3)
         allowed = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-        missing = {encode_pattern(p) for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0))}
-        assert forbidden_patterns(dist) == missing
+        missing = sorted(encode_pattern(p) for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
+        found = forbidden_patterns(dist)
+        assert found.dtype == np.int64
+        np.testing.assert_array_equal(found, missing)
         assert {tuple(r) for r in decode_pattern(dist.codes, 3).tolist()} == allowed
 
     def test_refuses_huge_lengths(self):
