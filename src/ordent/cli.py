@@ -477,20 +477,21 @@ def _process_label(spec: processgen.ProcessSpec) -> str:
 
 
 def _read_growth_pairs(path: str) -> List[tuple]:
-    pairs = []
+    pairs, header = [], True
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
+            first, header = header, False
             parts = text.split(",")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'L,ln_allowed', got {text!r}")
             try:
                 pairs.append((int(float(parts[0])), float(parts[1])))
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                if first:
+                    continue  # header row, after any '#' comment lines
                 raise ValueError(f"{path}:{lineno}: cannot parse {text!r}")
     return pairs
 

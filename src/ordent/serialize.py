@@ -15,7 +15,7 @@ SCHEMA_VERSION = 1
 _MAGIC = b"ORDENTS1"
 _HEADER = struct.Struct("<8sII")  # magic, version, reserved
 
-# rows formatted by one %-operation; bounds the text held in memory at once
+# rows formatted and written at once; bounds the text held in memory
 _BLOCK = 1 << 14
 
 
@@ -48,7 +48,7 @@ def read_series_binary(path: str) -> np.ndarray:
 
 def write_series_csv(path_or_fh, samples: np.ndarray) -> None:
     """One sample per line, full round-trip precision."""
-    _write_blocks(path_or_fh, [], "%.17g\n", [np.asarray(samples, dtype=np.float64)])
+    _write_blocks(path_or_fh, [], [np.asarray(samples, dtype=np.float64)])
 
 
 def read_series(path: str) -> np.ndarray:
@@ -89,8 +89,7 @@ def write_table_csv(path_or_fh, columns: Sequence[str], data: Iterable, meta: di
     head = [f"# schema_version={SCHEMA_VERSION}\n"]
     head += [f"# {key}={format_value(value)}\n" for key, value in (meta or {}).items()]
     head.append(",".join(columns) + "\n")
-    cols = [np.asarray(c) for c in data]
-    _write_blocks(path_or_fh, head, ",".join(map(_cell_format, cols)) + "\n", cols)
+    _write_blocks(path_or_fh, head, [np.asarray(c) for c in data])
 
 
 def join_rank_rows(codes: np.ndarray, decode) -> str:
@@ -100,33 +99,71 @@ def join_rank_rows(codes: np.ndarray, decode) -> str:
     on _BLOCK codes at a time, so only the text is held whole.
     """
     blocks = (decode(codes[lo:lo + _BLOCK]) for lo in range(0, len(codes), _BLOCK))
-    return "|".join(_format_rows(_cell_format(b), [b], "|") for b in blocks)
+    return "|".join(_rows_text([b], "|")[:-1] for b in blocks)
 
 
-def _cell_format(col: np.ndarray) -> str:
+def _rows_text(cols: list, end: str = "\n") -> str:
+    """The rows of ``cols``, cells joined by ',' and rows closed by ``end``: the
+    columns' NUL-padded cell matrices side by side, with the NULs dropped."""
+    n = len(cols[0])
+    parts = []
+    for col in cols:
+        parts += [_cells(col), np.full((n, 1), ord(","), np.uint8)]
+    parts[-1] = np.full((n, 1), ord(end), np.uint8)
+    return np.hstack(parts).tobytes().translate(None, b"\0").decode()
+
+
+def _cells(col: np.ndarray) -> np.ndarray:
+    """One column as an ``(n, w)`` uint8 matrix of cell text padded with NUL bytes.
+
+    Integers and ``(n, k)`` rank rows (``a-b-...``) in decimal; floats as
+    ``"%.17g"`` and anything else by ``str`` in UTF-8, each distinct value
+    formatted once (floats told apart by bit pattern: ``-0.0``, every NaN).
+    """
     if col.ndim == 2:
-        return "-".join(["%d"] * col.shape[1])
-    if col.dtype.kind == "f":
-        return "%.17g"
+        cells = _int_cells(col)
+        cells[:, 1:, 0] = ord("-")
+        return cells.reshape(len(col), col.shape[1] * cells.shape[2])
     if col.dtype.kind in "iu":
-        return "%d"
-    return "%s"
+        return _int_cells(col)
+    if col.dtype.kind == "f":
+        bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        # "%.17g" text is at most 24 characters and holds no space
+        text = ("%-24.17g" * len(values) % tuple(values)).encode()
+        table = np.frombuffer(text.replace(b" ", b"\0"), "S24")
+    else:
+        distinct, inverse = np.unique(col.astype(str), return_inverse=True)
+        if "\0" in "".join(distinct.tolist()):
+            raise ValueError("a table cell contains a NUL character")
+        table = np.char.encode(distinct, "utf-8")
+    return table.view(np.uint8).reshape(len(table), table.itemsize)[inverse]
 
 
-def _format_rows(row: str, cols: list, sep: str = "") -> str:
-    """Every row of ``cols`` through the %-format ``row``, joined by ``sep``, in one operation."""
-    cells = np.hstack([c.reshape(len(c), -1).astype(object) for c in cols])
-    return sep.join([row] * len(cells)) % tuple(cells.ravel())
+def _int_cells(a: np.ndarray) -> np.ndarray:
+    """Decimal text of an integer array along a new last axis: a free NUL slot, '-' if negative, digits."""
+    negative = a < 0
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    rest = a.astype(np.min_scalar_type(top))  # unsigned: negatives wrap, negation below unwraps
+    np.negative(rest, where=negative, out=rest)
+    width = len(str(top))
+    out = np.zeros(a.shape + (width + 2,), np.uint8)
+    out[..., 1] = negative * ord("-")
+    for j in range(width + 1, 1, -1):
+        shown = rest > 0
+        rest, digit = np.divmod(rest, 10)
+        out[..., j] = (digit + ord("0")) * (shown | (j == width + 1))
+    return out
 
 
-def _write_blocks(path_or_fh, head: list, row: str, cols: list) -> None:
+def _write_blocks(path_or_fh, head: list, cols: list) -> None:
     """The ``head`` lines, then the rows of ``cols`` formatted and written _BLOCK at a time."""
     n = len(cols[0]) if cols else 0
     with _destination(path_or_fh) as fh:
         for line in head:  # one write each: a '# missing=' line can be tens of MB
             _write_text(fh, line)
         for lo in range(0, n, _BLOCK):
-            _write_text(fh, _format_rows(row, [c[lo:lo + _BLOCK] for c in cols]))
+            _write_text(fh, _rows_text([c[lo:lo + _BLOCK] for c in cols]))
 
 
 def write_json(path_or_fh, payload: dict) -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -225,6 +226,17 @@ class TestClassify:
         payload = json.loads(out.read_text())
         assert payload["meta"]["kind"] == "factorial"
 
+    def test_reads_its_own_csv(self, tmp_path, capsys):
+        """The header row follows the '#' comment lines, so it is not line 1."""
+        out = tmp_path / "fit.csv"
+        assert run("classify", "--process", "noisy-logistic", "--t", "20000", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("classify", "--input", str(out)) == 0
+        fit = ("# kind=", "# c_hat=", "# model=", "# rss[")
+        first = [line for line in out.read_text().splitlines() if line.startswith(fit)]
+        second = [line for line in capsys.readouterr().out.splitlines() if line.startswith(fit)]
+        assert len(first) == 6 and second == first
+
 
 class TestOracle:
     def test_cells_and_transitions_json(self, tmp_path):
@@ -288,3 +300,18 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("census --process white-noise --t 20000 --length 5",
+     "834ef912552defcefceac3f686d76851620b46338a85e6955351374f47f27dc2"),
+    ("census --process white-noise --t 2000 --length 8 --report-missing",
+     "cf5844133ac72f6c3f015dd47143fe3ae6223a1048cc8c650f9c9b9919e07be0"),
+    ("generate --process white-noise --t 2000",
+     "b2a28b5510b0dee540a1d9cc938351b0fd7d3d225908a3d536022808651287fa"),
+], ids=["census-L5", "census-L8-missing", "generate"])
+def test_golden_csv_bytes(capsys, argv, sha256):
+    """Pinned CSV output. These runs rest only on the PCG64 uniform stream,
+    integer counts and float division, not on FFTs or libm."""
+    assert run(*argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

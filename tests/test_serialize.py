@@ -1,9 +1,12 @@
 """Table and series writers: bytes against a per-value reference, block edges, one open."""
 
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordent import serialize
 from ordent.cli import main
@@ -72,6 +75,50 @@ def test_block_edges(monkeypatch, n):
         assert got == f"# schema_version={SCHEMA_VERSION}\n# L=4\ncode,ranks,probability\n"
 
 
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+COLUMN_KINDS = {
+    "int64": (st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1, -1, 0, 9, 10]), np.int64),
+    "uint64": (st.integers(0, 2**64 - 1) | st.sampled_from([2**64 - 1, 2**63, 0, 10]), np.uint64),
+    "float64": (st.floats() | st.sampled_from(SPECIAL_FLOATS), np.float64),
+    "float32": (st.floats(width=32), np.float32),
+    "bool": (st.booleans(), bool),
+    "str": (st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
+            | st.sampled_from(["", "é", "fbm:0.7"]), str),
+}
+
+
+@st.composite
+def tables(draw):
+    """1 to 4 columns of n rows: any kind of COLUMN_KINDS, or (n, k) rank rows with k <= 20."""
+    n = draw(st.integers(0, 10))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*COLUMN_KINDS, "ranks"]), min_size=1, max_size=4)):
+        if kind == "ranks":
+            k = draw(st.integers(1, 20))
+            ranks = draw(st.lists(st.integers(0, 19), min_size=n * k, max_size=n * k))
+            columns.append(np.array(ranks, dtype=np.int8).reshape(n, k))
+        else:
+            elements, dtype = COLUMN_KINDS[kind]
+            columns.append(np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype))
+    return columns
+
+
+@settings(deadline=None)
+@given(tables(), st.integers(1, 4))
+def test_any_table_matches_reference(columns, block):
+    """Every dtype the writer meets, block sizes down to one row, against format_value."""
+    names = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*[c.tolist() for c in columns]))
+    with mock.patch.object(serialize, "_BLOCK", block):
+        assert written(names, columns, {"n": len(rows)}) == reference_csv(names, rows, {"n": len(rows)})
+
+
+def test_nul_in_a_cell_is_refused():
+    with pytest.raises(ValueError, match="NUL"):
+        written(("label",), (np.array(["ok", "a\0b"]),))
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_series_csv_blocks(monkeypatch, n):
     monkeypatch.setattr(serialize, "_BLOCK", 3)
@@ -87,6 +134,15 @@ def test_join_rank_rows_blocks(monkeypatch, n):
     codes = np.arange(n, dtype=np.int64) * 11
     got = serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 5))
     assert got == "|".join("-".join(map(str, decode_pattern(int(c), 5))) for c in codes)
+
+
+def test_join_rank_rows_two_digit_ranks_across_blocks(monkeypatch):
+    """L = 12 ranks reach 10 and 11; 10 codes over blocks of 4 end in a short block."""
+    monkeypatch.setattr(serialize, "_BLOCK", 4)
+    codes = np.linspace(0, math.factorial(12) - 1, 10).astype(np.int64)
+    got = serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 12))
+    assert got == "|".join("-".join(map(str, decode_pattern(int(c), 12))) for c in codes)
+    assert got.startswith("0-1-2-3-4-5-6-7-8-9-10-11|") and got.endswith("|11-10-9-8-7-6-5-4-3-2-1-0")
 
 
 def test_census_out_file_equals_stdout(tmp_path, capsys, monkeypatch):
