@@ -74,8 +74,8 @@ def _as_code(pattern) -> PatternCode:
 
 
 def census(ts, length: int) -> PatternDistribution:
-    """Count every sliding window (step 1) of ``length`` samples."""
-    codes = extract_patterns(ts, length, step=1)
+    """Count every sliding window of ``length`` samples."""
+    codes = extract_patterns(ts, length)
     return PatternDistribution.from_codes(codes, length)
 
 
@@ -118,7 +118,7 @@ def transition_matrix(ts, length: int) -> TransitionMatrix:
         raise ValueError(
             f"series of length {x.size} too short for transitions at window {length}"
         )
-    codes = extract_patterns(x, length, step=1)
+    codes = extract_patterns(x, length)
     # pairs of compact indices fit one int64 column at any length
     distinct, index = np.unique(codes, return_inverse=True)
     pairs, counts = np.unique(index[:-1] * distinct.size + index[1:], return_counts=True)

@@ -141,7 +141,7 @@ def _lehmer_columns(codes: np.ndarray, length: int) -> list:
     return perm
 
 
-def _rank_codes(x: np.ndarray, length: int, step: int, out: np.ndarray) -> None:
+def _rank_codes(x: np.ndarray, length: int, out: np.ndarray) -> None:
     """Lehmer codes of the windows' rank vectors into ``out``, from lag comparisons alone.
 
     Digit i of the window starting at k counts the later samples that are
@@ -151,16 +151,13 @@ def _rank_codes(x: np.ndarray, length: int, step: int, out: np.ndarray) -> None:
     as larger, i.e. the earlier index is the smaller one.
     """
     t = x.size
-    span = (out.size - 1) * step + 1
     later_smaller = np.zeros(t - 1, dtype=np.int8)  # S_m, updated in place for m = 1, 2, ...
     term = np.empty_like(out)
     out[:] = 0
     for m in range(1, length):
         later_smaller[: t - m] += x[m:] < x[: t - m]
         first = length - 1 - m  # position i = L - 1 - m of window 0
-        np.multiply(
-            later_smaller[first : first + span : step], np.int64(factorial(m)), out=term
-        )
+        np.multiply(later_smaller[first : first + out.size], np.int64(factorial(m)), out=term)
         out += term
 
 
@@ -178,11 +175,11 @@ def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def extract_patterns(ts, length: int, step: int = 1) -> np.ndarray:
-    """Codes of all sliding windows of ``length`` samples, ``step`` apart.
+def extract_patterns(ts, length: int) -> np.ndarray:
+    """Codes of all sliding windows of ``length`` samples.
 
-    Returns an int64 array of floor((T - L) / step) + 1 pattern codes, where
-    entry k encodes the window starting at sample k * step.
+    Returns an int64 array of T - L + 1 pattern codes, where entry k encodes
+    the window starting at sample k.
 
     The windows are coded by their rank vectors (no sort), and only the
     distinct rank codes are turned into codes of the sorting permutation,
@@ -190,16 +187,13 @@ def extract_patterns(ts, length: int, step: int = 1) -> np.ndarray:
     """
     x = as_samples(ts)
     check_length(length)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
     if x.size < length:
         raise ValueError(f"series of length {x.size} too short for windows of {length}")
-    n = (x.size - length) // step + 1
+    n = x.size - length + 1
     codes = np.empty(n, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        segment = x[start * step : (stop - 1) * step + length]
-        _rank_codes(segment, length, step, codes[start:stop])
+        _rank_codes(x[start : stop - 1 + length], length, codes[start:stop])
     n_patterns = factorial(length)
     if n_patterns > n:
         distinct, inverse = np.unique(codes, return_inverse=True)

@@ -242,29 +242,40 @@ def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(1)
     if hurst == 0.5:
         return rng.standard_normal(t)
-    coeff = _circulant_coefficients(t, hurst)
-    if coeff is None:
-        return _fgn_durbin_levinson(fgn_autocovariance(np.arange(t), hurst), rng)
-    return _fgn_circulant(coeff, t, rng)
+    return _fgn_circulant(_circulant_coefficients(t, hurst), t, rng)
 
 
 @functools.lru_cache(maxsize=4)
-def _circulant_coefficients(t: int, hurst: float) -> np.ndarray | None:
+def _circulant_coefficients(t: int, hurst: float) -> np.ndarray:
     """sqrt(eigenvalue / 2t) of the circulant embedding of t fGn samples.
 
-    None when the embedding is not nonnegative definite.  Realizations of one
-    (t, hurst) share the result, hence the cache (at most four arrays of 2t
-    floats stay alive); the array is read-only.
+    The embedding's first row is cov[0 .. t-1], a middle entry, cov[t-1 .. 1].
+    A middle 0.0 comes first, so the samples drawn from it keep their bits.
+    Where that row is not nonnegative definite the middle is cov[t]: the
+    minimal embedding of Davies & Harte (1987), nonnegative definite at every
+    H (Craigmile 2003 for H <= 1/2, Dietrich & Newsam 1997 above).
+    Realizations of one (t, hurst) share the result, hence the cache (at most
+    four arrays of 2t floats stay alive); the array is read-only.
     """
     cov = fgn_autocovariance(np.arange(t), hurst)
-    # first row of the 2t-periodic embedding of the covariance sequence
     row = np.concatenate((cov, [0.0], cov[-1:0:-1]))
     eigenvalues = np.fft.fft(row).real
-    if (eigenvalues < -1e-9 * eigenvalues.max()).any():
-        return None
+    if _indefinite(eigenvalues):
+        # cov[t] at row[t] adds cov[t] * exp(-i pi k) = cov[t] * (-1)^k to eigenvalue k
+        middle = fgn_autocovariance([t], hurst)[0]
+        eigenvalues[0::2] += middle
+        eigenvalues[1::2] -= middle
+        if _indefinite(eigenvalues):
+            raise ValueError(
+                f"circulant embedding of fGn not nonnegative definite at t={t}, H={hurst}"
+            )
     coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / eigenvalues.size)
     coeff.flags.writeable = False
     return coeff
+
+
+def _indefinite(eigenvalues: np.ndarray) -> bool:
+    return bool((eigenvalues < -1e-9 * eigenvalues.max()).any())
 
 
 def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
@@ -277,26 +288,3 @@ def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.nd
     z[1:t] = half
     z[t + 1 :] = np.conj(half[::-1])
     return np.fft.fft(coeff * z).real[:t]
-
-
-def _fgn_durbin_levinson(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """O(t^2) sequential sampler from the exact covariance; embedding fallback."""
-    t = cov.size
-    out = np.empty(t)
-    phi = np.zeros(t)
-    phi_prev = np.zeros(t)
-    noise = rng.standard_normal(t)
-    sigma2 = cov[0]
-    out[0] = noise[0] * math.sqrt(sigma2)
-    for n in range(1, t):
-        if n == 1:
-            kappa = cov[1] / cov[0]
-        else:
-            kappa = (cov[n] - np.dot(phi_prev[: n - 1], cov[n - 1 : 0 : -1])) / sigma2
-        phi[n - 1] = kappa
-        phi[: n - 1] = phi_prev[: n - 1] - kappa * phi_prev[: n - 1][::-1]
-        sigma2 *= 1.0 - kappa * kappa
-        mean = np.dot(phi[:n], out[:n][::-1])
-        out[n] = mean + noise[n] * math.sqrt(sigma2)
-        phi_prev[:n] = phi[:n]
-    return out

@@ -89,7 +89,19 @@ def write_table_csv(path_or_fh, columns: Sequence[str], data: Iterable, meta: di
     head = [f"# schema_version={SCHEMA_VERSION}\n"]
     head += [f"# {key}={format_value(value)}\n" for key, value in (meta or {}).items()]
     head.append(",".join(columns) + "\n")
-    _write_blocks(path_or_fh, head, [np.asarray(c) for c in data])
+    _write_blocks(path_or_fh, head, [_column(c) for c in data])
+
+
+def _column(cells) -> np.ndarray:
+    """One table column as an array, refusing a str cell that holds a NUL.
+
+    The cells are checked as given: the ``<U`` array that numpy makes of str
+    drops a trailing NUL without a trace.
+    """
+    if not isinstance(cells, np.ndarray) or cells.dtype.kind in "OU":
+        if any("\0" in v for v in cells if isinstance(v, str)):
+            raise ValueError("a table cell contains a NUL character")
+    return np.asarray(cells)
 
 
 def join_rank_rows(codes: np.ndarray, decode) -> str:
@@ -134,8 +146,6 @@ def _cells(col: np.ndarray) -> np.ndarray:
         table = np.frombuffer(text.replace(b" ", b"\0"), "S24")
     else:
         distinct, inverse = np.unique(col.astype(str), return_inverse=True)
-        if "\0" in "".join(distinct.tolist()):
-            raise ValueError("a table cell contains a NUL character")
         table = np.char.encode(distinct, "utf-8")
     return table.view(np.uint8).reshape(len(table), table.itemsize)[inverse]
 

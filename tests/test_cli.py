@@ -3,18 +3,31 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordent
 from ordent.cli import main
 from ordent.serialize import read_series, read_series_binary, write_series_csv
 
 
 def run(*args):
     return main(list(args))
+
+
+def run_module(*args):
+    """``python -m ordent.cli`` in a child process that imports the ordent under test."""
+    src = str(Path(ordent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ordent.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestGenerate:
@@ -286,19 +299,12 @@ class TestEntryPoint:
         assert run() == 2
 
     def test_console_script(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "ordent.cli", "generate", "--process",
-             "white-noise", "--t", "50", "--seed", "1", "--out",
-             str(tmp_path / "x.csv")],
-            capture_output=True, text=True,
-        )
+        result = run_module("generate", "--process", "white-noise", "--t", "50",
+                            "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 0
 
     def test_argparse_usage_error_exit_2(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "ordent.cli", "census"],
-            capture_output=True, text=True,
-        )
+        result = run_module("census")
         assert result.returncode == 2
 
 

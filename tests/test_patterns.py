@@ -123,17 +123,16 @@ class TestEncoding:
         assert decode_pattern(code, MAX_PATTERN_LENGTH) == p
 
 
-def brute_force_codes(x, length, step=1):
+def brute_force_codes(x, length):
     """Reference extractor: pattern_of on every window, one at a time."""
     return [
         encode_pattern(pattern_of(x[start : start + length]))
-        for start in range(0, len(x) - length + 1, step)
+        for start in range(len(x) - length + 1)
     ]
 
 
 # tie-heavy integer levels or continuous values, with enough samples for a window
 lengths = st.integers(min_value=2, max_value=MAX_PATTERN_LENGTH)
-steps = st.integers(min_value=1, max_value=4)
 levels = st.integers(min_value=1, max_value=4)
 
 
@@ -149,11 +148,6 @@ class TestExtractPatterns:
         codes = extract_patterns(np.arange(10.0), 3)
         assert codes.shape == (8,)
 
-    def test_step(self):
-        x = np.arange(11.0)
-        assert extract_patterns(x, 3, step=2).shape == ((11 - 3) // 2 + 1,)
-        assert extract_patterns(x, 3, step=5).shape == (2,)
-
     def test_constant_series(self):
         codes = extract_patterns(np.full(6, 2.5), 3)
         assert (codes == encode_pattern((0, 1, 2))).all()
@@ -162,30 +156,30 @@ class TestExtractPatterns:
         codes = extract_patterns(np.array([0.3, -0.5, 1.2, 0.7]), 4)
         assert codes.tolist() == [encode_pattern((1, 0, 3, 2))]
 
-    @given(st.data(), lengths, steps)
-    def test_matches_brute_force(self, data, length, step):
+    @given(st.data(), lengths)
+    def test_matches_brute_force(self, data, length):
         x = data.draw(series_for(length, finite_floats))
-        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+        assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
 
-    @given(st.data(), lengths, steps, levels)
-    def test_matches_brute_force_with_ties(self, data, length, step, n_levels):
+    @given(st.data(), lengths, levels)
+    def test_matches_brute_force_with_ties(self, data, length, n_levels):
         x = data.draw(series_for(length, st.integers(0, n_levels - 1)))
-        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+        assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
 
     @pytest.mark.parametrize("length", [2, 3, 5, 7])
-    @pytest.mark.parametrize("step", [1, 3])
-    def test_matches_brute_force_on_long_series(self, rng, length, step):
+    def test_matches_brute_force_on_long_series(self, rng, length):
         # more windows than patterns: codes go through the table over all L!
         for x in (rng.standard_normal(6000), rng.integers(0, 4, 6000).astype(float)):
-            assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+            assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
 
     @pytest.mark.parametrize("length", [3, 9])
-    @pytest.mark.parametrize("step", [1, 4])
-    def test_matches_brute_force_across_chunks(self, rng, monkeypatch, length, step):
-        # windows coded 7 per pass; L = 3 maps through the L! table, L = 9 through np.unique
-        monkeypatch.setattr(patterns, "_CHUNK", 7)
+    @pytest.mark.parametrize("chunk", [1, 4])
+    def test_matches_brute_force_across_chunks(self, rng, monkeypatch, length, chunk):
+        # a seam after every window, or chunks shorter than an L = 9 window;
+        # L = 3 maps through the L! table, L = 9 through np.unique
+        monkeypatch.setattr(patterns, "_CHUNK", chunk)
         x = rng.integers(0, 5, 400).astype(float)
-        assert extract_patterns(x, length, step).tolist() == brute_force_codes(x, length, step)
+        assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
 
     def test_extreme_codes_at_max_length(self):
         x = np.arange(2.0 * MAX_PATTERN_LENGTH)
@@ -196,10 +190,6 @@ class TestExtractPatterns:
     def test_too_short(self):
         with pytest.raises(ValueError):
             extract_patterns(np.arange(3.0), 4)
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            extract_patterns(np.arange(10.0), 3, step=0)
 
     def test_accepts_timeseries(self):
         ts = TimeSeries(samples=np.arange(5.0))

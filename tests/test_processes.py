@@ -142,12 +142,14 @@ def autocov_standard_error(hurst, lag, t, truncation=20_000):
 
 
 class TestFgnCovariance:
-    @pytest.mark.parametrize("hurst", [0.5, 0.75])
+    @pytest.mark.parametrize("hurst", [0.5, 0.75, 0.95])
     def test_matches_target_within_three_se(self, hurst):
         lags = np.arange(21)
         target = fgn_autocovariance(lags, hurst)
         reps = 8
         t = 200_000
+        # Bartlett's sum diverges for H >= 3/4; at 0.95 it runs over every lag of the series
+        truncation = t if hurst > 0.75 else 20_000
         estimates = np.empty((reps, lags.size))
         for r in range(reps):
             x = generate(fgn(t, hurst=hurst, seed=100 + r)).samples
@@ -155,7 +157,7 @@ class TestFgnCovariance:
                 estimates[r, k] = np.mean(x[: t - k] * x[k:]) if k else np.mean(x * x)
         mean = estimates.mean(axis=0)
         for k in lags:
-            sem = autocov_standard_error(hurst, int(k), t) / math.sqrt(reps)
+            sem = autocov_standard_error(hurst, int(k), t, truncation) / math.sqrt(reps)
             assert abs(mean[k] - target[k]) <= 3.0 * sem, (k, mean[k], target[k], sem)
 
     def test_h_half_is_white_gaussian(self):
@@ -181,17 +183,42 @@ class TestFgnCovariance:
         coeff = _circulant_coefficients(spec.t - (make is fbm), 0.3)
         assert not coeff.flags.writeable
 
-    def test_durbin_levinson_agrees_with_embedding(self):
-        # force the O(t^2) path and compare second-order statistics
-        from ordent.processgen import _fgn_durbin_levinson
 
-        cov = fgn_autocovariance(np.arange(2_000), 0.75)
-        rng = np.random.default_rng(19)
-        x = _fgn_durbin_levinson(cov, rng)
-        assert x.shape == (2_000,)
-        assert np.var(x) == pytest.approx(1.0, abs=0.15)
-        lag1 = np.mean(x[:-1] * x[1:])
-        assert lag1 == pytest.approx(fgn_autocovariance([1], 0.75)[0], abs=0.1)
+GRID_HURST = np.round(np.arange(0.01, 1.0, 0.01), 2).tolist()
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("t", [2, 3, 10, 1_000, 6_000])
+    def test_coefficients_at_every_hurst(self, t):
+        from ordent.processgen import _circulant_coefficients
+
+        for hurst in GRID_HURST:
+            coeff = _circulant_coefficients(t, hurst)
+            assert coeff.shape == (2 * t,)
+            assert np.isfinite(coeff).all() and (coeff >= 0.0).all(), hurst
+            assert not coeff.flags.writeable
+
+    @pytest.mark.parametrize("t", [2, 3, 10, 1_000, 6_000])
+    def test_zero_middle_row_kept_wherever_it_is_valid(self, t):
+        # the samples drawn from the embedding with 0.0 in the middle keep their bits;
+        # elsewhere the embedding is the minimal one, with cov[t] in the middle
+        from ordent.processgen import _circulant_coefficients
+
+        minimal = 0
+        for hurst in GRID_HURST:
+            cov = fgn_autocovariance(np.arange(t), hurst)
+            zero_middle = np.fft.fft(np.concatenate((cov, [0.0], cov[-1:0:-1]))).real
+            coeff = _circulant_coefficients(t, hurst)
+            if (zero_middle >= -1e-9 * zero_middle.max()).all():
+                expected = np.sqrt(np.maximum(zero_middle, 0.0) / (2 * t))
+                assert np.array_equal(coeff, expected), hurst
+            else:
+                minimal += 1
+                cov_t = fgn_autocovariance([t], hurst)
+                eigenvalues = np.fft.fft(np.concatenate((cov, cov_t, cov[-1:0:-1]))).real
+                expected = np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t))
+                np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-12 * expected.max())
+        assert minimal > 0  # e.g. every H >= 0.8 at t = 2, H >= 0.92 at t = 6000
 
 
 class TestFbm:

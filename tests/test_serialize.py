@@ -119,6 +119,17 @@ def test_nul_in_a_cell_is_refused():
         written(("label",), (np.array(["ok", "a\0b"]),))
 
 
+def test_trailing_nul_in_a_list_cell_is_refused():
+    # a <U array of these cells would hold "x": the check runs before any conversion
+    with pytest.raises(ValueError, match="NUL"):
+        written(("label",), (["x\0", "y"],))
+
+
+def test_trailing_nul_in_an_object_array_cell_is_refused():
+    with pytest.raises(ValueError, match="NUL"):
+        written(("label", "n"), (np.array(["x\0", "y"], dtype=object), [1, 2]))
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_series_csv_blocks(monkeypatch, n):
     monkeypatch.setattr(serialize, "_BLOCK", 3)
