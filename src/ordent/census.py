@@ -10,11 +10,14 @@ import numpy as np
 
 from .patterns import (
     PatternCode,
+    _inverse_codes,
+    _rank_code_blocks,
+    _relabel,
+    as_samples,
     check_length,
     decode_pattern,
     encode_pattern,
     extract_patterns,
-    as_samples,
 )
 
 # enumerating missing patterns builds all L! candidate codes
@@ -63,8 +66,43 @@ class PatternDistribution:
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, length: int) -> "PatternDistribution":
-        distinct, counts = np.unique(np.asarray(codes, dtype=np.int64), return_counts=True)
+        distinct, counts = _count(np.asarray(codes, dtype=np.int64), math.factorial(length))
         return cls(length=length, codes=distinct, counts=counts)
+
+
+def _count(codes: np.ndarray, size: int) -> tuple:
+    """Distinct codes of ``codes``, all in [0, size), ascending, and how often each occurs."""
+    tally = _Tally(size, codes.size)
+    tally.add(codes)
+    return tally.counted()
+
+
+class _Tally:
+    """Counts of ``n`` codes in [0, size) that arrive block by block.
+
+    The counting rule of every census: ``np.bincount`` over all ``size``
+    codes, one block at a time, when ``size <= n``; otherwise the blocks are
+    kept (copied) and sorted once by ``np.unique``.
+    """
+
+    def __init__(self, size: int, n: int):
+        self.bins = np.zeros(size, dtype=np.int64) if size <= n else None
+        self.kept = []
+
+    def add(self, codes: np.ndarray) -> None:
+        if self.bins is None:
+            self.kept.append(codes.copy())
+        else:
+            counts = np.bincount(codes, minlength=self.bins.size)
+            if counts.size > self.bins.size:
+                raise ValueError(f"codes must lie in [0, {self.bins.size})")
+            self.bins += counts
+
+    def counted(self) -> tuple:
+        if self.bins is None:
+            return np.unique(np.concatenate(self.kept), return_counts=True)
+        distinct = np.flatnonzero(self.bins)
+        return distinct, self.bins[distinct]
 
 
 def _as_code(pattern) -> PatternCode:
@@ -79,6 +117,39 @@ def census(ts, length: int) -> PatternDistribution:
     return PatternDistribution.from_codes(codes, length)
 
 
+def census_lengths(ts, lengths: Sequence[int]) -> list:
+    """The census of every length in ``lengths``, in the order given.
+
+    Equal to ``[census(ts, L) for L in lengths]``, from one pass of lag
+    comparisons: the rank codes of every length come block by block from
+    the running lag sums of the longest one (``patterns._rank_code_blocks``).
+    Each length counts its rank codes by the rule of every census
+    (``np.bincount`` over all L! codes when L! is at most the window count,
+    so no codes are kept; ``np.unique`` otherwise) and turns only the
+    distinct ones into pattern codes.  A repeated length is counted once and
+    its distribution shared.
+    """
+    x = as_samples(ts)
+    lengths = [int(length) for length in lengths]
+    if not lengths:
+        raise ValueError("lengths must be non-empty")
+    for length in lengths:
+        check_length(length)
+    wanted = sorted(set(lengths))
+    if x.size < wanted[-1]:
+        raise ValueError(f"series of length {x.size} too short for windows of {wanted[-1]}")
+    tallies = [_Tally(math.factorial(length), x.size - length + 1) for length in wanted]
+    for i, _, ranks in _rank_code_blocks(x, wanted):
+        tallies[i].add(ranks)
+    dists = {}
+    for length, tally in zip(wanted, tallies):
+        distinct, counts = tally.counted()
+        codes = _inverse_codes(distinct, length)
+        order = np.argsort(codes)
+        dists[length] = PatternDistribution(length=length, codes=codes[order], counts=counts[order])
+    return [dists[length] for length in lengths]
+
+
 def forbidden_patterns(dist: PatternDistribution) -> np.ndarray:
     """Codes never observed in the census, ascending (int64).
 
@@ -90,8 +161,9 @@ def forbidden_patterns(dist: PatternDistribution) -> np.ndarray:
             f"enumerating missing patterns at length {dist.length} would require "
             f"{math.factorial(dist.length)} candidates; use length <= {_MISSING_LENGTH_LIMIT}"
         )
-    candidates = np.arange(math.factorial(dist.length), dtype=np.int64)
-    return np.setdiff1d(candidates, dist.codes, assume_unique=True)
+    missing = np.ones(math.factorial(dist.length), dtype=bool)
+    missing[dist.codes] = False
+    return np.flatnonzero(missing)
 
 
 @dataclass
@@ -118,10 +190,10 @@ def transition_matrix(ts, length: int) -> TransitionMatrix:
         raise ValueError(
             f"series of length {x.size} too short for transitions at window {length}"
         )
-    codes = extract_patterns(x, length)
+    index = extract_patterns(x, length)
+    distinct = _relabel(index, math.factorial(length), lambda d: np.arange(d.size))
     # pairs of compact indices fit one int64 column at any length
-    distinct, index = np.unique(codes, return_inverse=True)
-    pairs, counts = np.unique(index[:-1] * distinct.size + index[1:], return_counts=True)
+    pairs, counts = _count(index[:-1] * distinct.size + index[1:], distinct.size**2)
     src, dst = np.divmod(pairs, distinct.size)
     row_totals = np.bincount(src, weights=counts, minlength=distinct.size)
     probs = counts / row_totals[src]

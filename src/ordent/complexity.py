@@ -194,11 +194,13 @@ def entropy_rate(
 
     alpha = 0 selects the topological variant (driven by the allowed-pattern
     count); alpha > 0 the metric one.  Realization r uses seed + r, so
-    results do not depend on scheduling.  A warning is emitted when the
-    window count is below 10 L!, where the pattern census is badly
-    undersampled.
+    results do not depend on scheduling.  Each realization is generated once
+    and counted at every length by one ``census_lengths`` call (one pass of
+    lag comparisons; bincount counting where L! is at most the window
+    count).  A warning is emitted when the window count is below 10 L!,
+    where the pattern census is badly undersampled.
     """
-    from .census import census
+    from .census import census_lengths
     from .processgen import generate, replace_spec
 
     lengths = [int(L) for L in l_range]
@@ -225,8 +227,7 @@ def entropy_rate(
     def one_realization(r: int) -> np.ndarray:
         series = generate(replace_spec(spec, t=t + transient, seed=seed + r)).samples[transient:]
         out = np.empty(len(lengths))
-        for i, L in enumerate(lengths):
-            dist = census(series, L)
+        for i, (L, dist) in enumerate(zip(lengths, census_lengths(series, lengths))):
             if alpha == 0:
                 z = topological_perm_entropy(dist.allowed_count, growth)
             else:

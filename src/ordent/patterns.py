@@ -141,24 +141,46 @@ def _lehmer_columns(codes: np.ndarray, length: int) -> list:
     return perm
 
 
-def _rank_codes(x: np.ndarray, length: int, out: np.ndarray) -> None:
-    """Lehmer codes of the windows' rank vectors into ``out``, from lag comparisons alone.
+def _rank_code_blocks(x: np.ndarray, lengths: Sequence[int]):
+    """Lehmer codes of the windows' rank vectors for every length in ``lengths``, block by block.
 
     Digit i of the window starting at k counts the later samples that are
     smaller than x[k + i]: S_m[k + i] with m = L - 1 - i, where
     S_m[a] = #{1 <= d <= m : x[a + d] < x[a]} is a running sum of the lag-d
     comparison bits.  The strict comparison makes an equal later sample count
     as larger, i.e. the earlier index is the smaller one.
+
+    Indexed by its last sample e, the window of length m + 1 has the code of
+    the window of length m that ends at e plus S_m[e - m] * m! (the successive
+    patterns of Unakafova & Keller, Entropy 15 (2013) 4392).  So one pass over
+    the lags m = 1 .. max(lengths) - 1 serves every length, _CHUNK windows at
+    a time, and each length's codes are read off after its last lag.
+
+    Yields ``(i, start, codes)``: the codes of the windows of length
+    ``lengths[i]`` that start at ``start``, ``start + 1``, ..., at most
+    _CHUNK of them, in a buffer that the next step overwrites.  ``x`` must
+    hold at least max(lengths) samples.
     """
     t = x.size
-    later_smaller = np.zeros(t - 1, dtype=np.int8)  # S_m, updated in place for m = 1, 2, ...
-    term = np.empty_like(out)
-    out[:] = 0
-    for m in range(1, length):
-        later_smaller[: t - m] += x[m:] < x[: t - m]
-        first = length - 1 - m  # position i = L - 1 - m of window 0
-        np.multiply(later_smaller[first : first + out.size], np.int64(factorial(m)), out=term)
-        out += term
+    low, top = min(lengths), max(lengths)
+    width = min(_CHUNK + top - 1, t)  # samples behind one block of windows
+    later_smaller = np.empty(width - 1, dtype=np.int8)  # S_m, updated in place for m = 1, 2, ...
+    ends = np.empty(width - low + 1, dtype=np.int64)  # codes by last sample, from sample low - 1 on
+    term = np.empty_like(ends)
+    for start in range(0, t - low + 1, _CHUNK):
+        xs = x[start : start + width]
+        s = xs.size
+        later_smaller[:] = 0
+        ends[:] = 0
+        for m in range(1, min(top, s)):  # the last block can be too short for the longest windows
+            later_smaller[: s - m] += xs[m:] < xs[: s - m]
+            first = max(m, low - 1)  # the first last sample that needs S_m
+            n = s - first
+            np.multiply(later_smaller[first - m : s - m], np.int64(factorial(m)), out=term[:n])
+            ends[first - low + 1 : s - low + 1] += term[:n]
+            for i, length in enumerate(lengths):
+                if length == m + 1:
+                    yield i, start, ends[length - low : length - low + min(_CHUNK, s - m)]
 
 
 def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
@@ -189,21 +211,30 @@ def extract_patterns(ts, length: int) -> np.ndarray:
     check_length(length)
     if x.size < length:
         raise ValueError(f"series of length {x.size} too short for windows of {length}")
-    n = x.size - length + 1
-    codes = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        _rank_codes(x[start : stop - 1 + length], length, codes[start:stop])
-    n_patterns = factorial(length)
-    if n_patterns > n:
+    codes = np.empty(x.size - length + 1, dtype=np.int64)
+    for _, start, block in _rank_code_blocks(x, [length]):
+        codes[start : start + block.size] = block
+    _relabel(codes, factorial(length), lambda distinct: _inverse_codes(distinct, length))
+    return codes
+
+
+def _relabel(codes: np.ndarray, size: int, image) -> np.ndarray:
+    """Replace each code in [0, size) by ``image(distinct)`` at its place among the
+    ascending distinct codes, in place; returns the distinct codes.
+
+    The distinct codes come from a table over all ``size`` codes when
+    ``size <= codes.size`` (it costs no more than the codes themselves, and
+    the gather runs _CHUNK codes at a time), from ``np.unique`` otherwise.
+    """
+    if size > codes.size:
         distinct, inverse = np.unique(codes, return_inverse=True)
-        return _inverse_codes(distinct, length)[inverse]
-    # a table over all L! codes costs no more than the windows themselves
-    seen = np.zeros(n_patterns, dtype=bool)
+        codes[:] = image(distinct)[inverse]
+        return distinct
+    seen = np.zeros(size, dtype=bool)
     seen[codes] = True
     distinct = np.flatnonzero(seen)
-    table = np.empty(n_patterns, dtype=np.int64)
-    table[distinct] = _inverse_codes(distinct, length)
-    for start in range(0, n, _CHUNK):
+    table = np.empty(size, dtype=np.int64)
+    table[distinct] = image(distinct)
+    for start in range(0, codes.size, _CHUNK):
         codes[start : start + _CHUNK] = table[codes[start : start + _CHUNK]]
-    return codes
+    return distinct

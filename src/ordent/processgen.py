@@ -166,7 +166,7 @@ def generate(spec: ProcessSpec) -> TimeSeries:
         increments = _fgn_samples(t - 1, spec.hurst, rng)
         x = np.concatenate(([0.0], np.cumsum(increments)))
     elif spec.kind == LOGISTIC:
-        x = _logistic_orbit(t, spec.a, spec.x0)
+        x = _logistic_orbit(t, spec.a, spec.x0).copy()
     elif spec.kind == NOISY_LOGISTIC:
         a = spec.a if spec.a_range is None else rng.uniform(*spec.a_range)
         noise = rng.uniform(-spec.eps, spec.eps, t - 1) if spec.eps > 0 else np.zeros(t - 1)
@@ -182,6 +182,10 @@ def generate(spec: ProcessSpec) -> TimeSeries:
     return TimeSeries(samples=x, meta=spec.describe())
 
 
+# The noise-free map orbits below do not depend on the seed, so the
+# realizations of one spec share them: each is computed once per argument
+# tuple, at most four per map stay alive, and the arrays are read-only.
+@functools.lru_cache(maxsize=4)
 def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
     x = np.empty(t)
     v = x0
@@ -189,6 +193,7 @@ def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
     for i in range(1, t):
         v = a * v * (1.0 - v)
         x[i] = v
+    x.flags.writeable = False
     return x
 
 
@@ -207,6 +212,7 @@ def _noisy_logistic_orbit(t: int, a: float, x0: float, noise: np.ndarray) -> np.
     return x
 
 
+@functools.lru_cache(maxsize=4)
 def _cubic_orbit(t: int, y0: float) -> np.ndarray:
     b = _CUBIC_BOUND
     y = np.empty(t)
@@ -220,9 +226,11 @@ def _cubic_orbit(t: int, y0: float) -> np.ndarray:
         elif v < -b:
             v = -2.0 * b - v
         y[i] = v
+    y.flags.writeable = False
     return y
 
 
+@functools.lru_cache(maxsize=4)
 def _skew_tent_orbit(t: int, y0: float) -> np.ndarray:
     y = np.empty(t)
     v = y0
@@ -234,6 +242,7 @@ def _skew_tent_orbit(t: int, y0: float) -> np.ndarray:
         elif v > 1.0:
             v = 1.0
         y[i] = v
+    y.flags.writeable = False
     return y
 
 

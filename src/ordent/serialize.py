@@ -6,7 +6,7 @@ import contextlib
 import json
 import struct
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,11 +85,23 @@ def write_table_csv(path_or_fh, columns: Sequence[str], data: Iterable, meta: di
     ``data`` holds the table by columns, in the order of ``columns``: each is
     a 1-D sequence, or an ``(n, k)`` integer array of rank rows that prints as
     ``a-b-...``.  Floats print as ``format(v, ".17g")``, integers as ``str``.
+    A ``meta`` value that is an iterator of str is written piece by piece, so
+    a long comment line is never held whole.
     """
-    head = [f"# schema_version={SCHEMA_VERSION}\n"]
-    head += [f"# {key}={format_value(value)}\n" for key, value in (meta or {}).items()]
-    head.append(",".join(columns) + "\n")
-    _write_blocks(path_or_fh, head, [_column(c) for c in data])
+    _write_blocks(path_or_fh, _head(columns, meta or {}), [_column(c) for c in data])
+
+
+def _head(columns: Sequence[str], meta: dict):
+    """The header of a CSV table as pieces of text: '#' comment lines, then the column names."""
+    yield f"# schema_version={SCHEMA_VERSION}\n"
+    for key, value in meta.items():
+        if isinstance(value, Iterator):
+            yield f"# {key}="
+            yield from value
+            yield "\n"
+        else:
+            yield f"# {key}={format_value(value)}\n"
+    yield ",".join(columns) + "\n"
 
 
 def _column(cells) -> np.ndarray:
@@ -104,14 +116,15 @@ def _column(cells) -> np.ndarray:
     return np.asarray(cells)
 
 
-def join_rank_rows(codes: np.ndarray, decode) -> str:
-    """Pattern codes as one ``a-b-...|c-d-...`` string.
+def join_rank_rows(codes: np.ndarray, decode) -> Iterator[str]:
+    """Pattern codes as ``a-b-...|c-d-...`` text, yielded _BLOCK codes at a time.
 
-    ``decode`` maps an array of codes to ``(n, L)`` rank rows; it is called
-    on _BLOCK codes at a time, so only the text is held whole.
+    ``decode`` maps an array of codes to ``(n, L)`` rank rows.  Only one
+    block's rows and text are alive at once; the pieces join to the whole line.
     """
-    blocks = (decode(codes[lo:lo + _BLOCK]) for lo in range(0, len(codes), _BLOCK))
-    return "|".join(_rows_text([b], "|")[:-1] for b in blocks)
+    for lo in range(0, len(codes), _BLOCK):
+        text = _rows_text([decode(codes[lo:lo + _BLOCK])], "|")
+        yield text if lo + _BLOCK < len(codes) else text[:-1]
 
 
 def _rows_text(cols: list, end: str = "\n") -> str:
@@ -166,12 +179,12 @@ def _int_cells(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_blocks(path_or_fh, head: list, cols: list) -> None:
-    """The ``head`` lines, then the rows of ``cols`` formatted and written _BLOCK at a time."""
+def _write_blocks(path_or_fh, head: Iterable[str], cols: list) -> None:
+    """The ``head`` text, then the rows of ``cols`` formatted and written _BLOCK at a time."""
     n = len(cols[0]) if cols else 0
     with _destination(path_or_fh) as fh:
-        for line in head:  # one write each: a '# missing=' line can be tens of MB
-            _write_text(fh, line)
+        for piece in head:  # one write each: a '# missing=' line comes in blocks
+            _write_text(fh, piece)
         for lo in range(0, n, _BLOCK):
             _write_text(fh, _rows_text([c[lo:lo + _BLOCK] for c in cols]))
 

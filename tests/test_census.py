@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ordent import patterns
+from ordent.census import _count
+
 from ordent import (
     MAX_PATTERN_LENGTH,
     PatternDistribution,
     census,
+    census_lengths,
     decode_pattern,
     encode_pattern,
     fbm,
@@ -115,6 +119,91 @@ class TestCensus:
             PatternDistribution(length=3, codes=codes, counts=counts)
 
 
+def brute_force_census(x, length):
+    return sorted(Counter(brute_force_codes(x, length)).items())
+
+
+def census_pairs(dist):
+    return list(zip(dist.codes.tolist(), dist.counts.tolist()))
+
+
+class TestCensusLengths:
+    """Every length from one pass of lag sums, against ``census`` and the ``pattern_of`` oracle."""
+
+    @given(st.data())
+    def test_matches_census_and_brute_force(self, data):
+        # integer levels give ties; 1..70 windows put small L above and large L
+        # below the L! <= windows line, so both count branches run
+        n_levels = data.draw(st.integers(1, 6))
+        x = np.array(data.draw(st.lists(st.integers(0, n_levels - 1), min_size=8, max_size=80)),
+                     dtype=np.float64)
+        lengths = data.draw(st.lists(st.integers(2, min(x.size, 9)), min_size=1, max_size=6))
+        dists = census_lengths(x, lengths)
+        assert [d.length for d in dists] == lengths
+        for length, dist in zip(lengths, dists):
+            assert census_pairs(dist) == census_pairs(census(x, length))
+            assert census_pairs(dist) == brute_force_census(x, length)
+            assert dist.codes.dtype == dist.counts.dtype == np.int64
+
+    @given(st.data())
+    def test_matches_brute_force_across_chunk_seams(self, data):
+        # 7 windows per block: the last block may hold fewer samples than the longest window
+        x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=6, max_size=60)), dtype=float)
+        lengths = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "_CHUNK", 7)
+            dists = census_lengths(x, lengths)
+        for length, dist in zip(lengths, dists):
+            assert census_pairs(dist) == brute_force_census(x, length)
+
+    def test_unsorted_and_repeated_lengths(self, rng):
+        x = rng.standard_normal(3000)
+        lengths = [7, 3, 5, 3, 2]
+        dists = census_lengths(x, lengths)
+        assert [d.length for d in dists] == lengths
+        for length, dist in zip(lengths, dists):
+            assert census_pairs(dist) == census_pairs(census(x, length))
+
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_both_count_branches_on_long_series(self, rng, length):
+        # 5000 windows: L = 3 counts by bincount over 3!, L = 8 by np.unique over 8!
+        x = rng.integers(0, 6, 5000).astype(float)
+        (dist,) = census_lengths(x, [length])
+        assert census_pairs(dist) == brute_force_census(x, length)
+
+    def test_max_length(self):
+        x = np.concatenate((np.arange(30.0), -np.arange(30.0)))
+        dists = census_lengths(x, [MAX_PATTERN_LENGTH, 2])
+        assert census_pairs(dists[0]) == brute_force_census(x, MAX_PATTERN_LENGTH)
+        assert census_pairs(dists[1]) == census_pairs(census(x, 2))
+        assert dists[0].codes[-1] == math.factorial(MAX_PATTERN_LENGTH) - 1
+
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="too short for windows of 4"):
+            census(np.arange(3.0), 4)
+        with pytest.raises(ValueError, match="too short for windows of 4"):
+            census_lengths(np.arange(3.0), [2, 4, 3])
+
+    @pytest.mark.parametrize("lengths", [[], [1], [3, MAX_PATTERN_LENGTH + 1]])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ValueError):
+            census_lengths(np.arange(50.0), lengths)
+
+
+class TestCount:
+    @pytest.mark.parametrize("size", [6, 7, 1000])
+    def test_both_branches_match_counter(self, rng, size):
+        # 7 codes: bincount over sizes 6 and 7, np.unique over 1000
+        codes = rng.integers(0, 6, 7)
+        distinct, counts = _count(codes, size)
+        assert list(zip(distinct.tolist(), counts.tolist())) == sorted(Counter(codes.tolist()).items())
+
+    @pytest.mark.parametrize("codes", [[0, 6, 1, 2, 3, 4, 5], [0, 6]], ids=["bincount", "unique"])
+    def test_from_codes_rejects_codes_out_of_range(self, codes):
+        with pytest.raises(ValueError):
+            PatternDistribution.from_codes(np.array(codes), 3)
+
+
 class TestForbiddenPatterns:
     def test_logistic(self, logistic_orbit):
         dist = census(logistic_orbit[:100_000], 3)
@@ -191,7 +280,9 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("length", [2, 4, 7, 13])
     def test_matches_brute_force(self, rng, length):
         # a repeated block with a few flipped samples: rows with one and with
-        # several targets; at L = 13, (L!)^2 exceeds the int64 range
+        # several targets; at L = 13, (L!)^2 exceeds the int64 range.  L = 2, 4
+        # index through the L! table and count pairs by bincount, L = 7, 13 use
+        # np.unique for both
         x = np.tile(rng.integers(0, 3, 40), 30).astype(float)
         x[rng.integers(0, x.size, 25)] += 0.5
         codes = brute_force_codes(x, length)

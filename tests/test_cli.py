@@ -321,3 +321,16 @@ def test_golden_csv_bytes(capsys, argv, sha256):
     integer counts and float division, not on FFTs or libm."""
     assert run(*argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_golden_entropy_bytes(capsys):
+    """Pinned class entropies of the FFT, map-orbit and noisy-map generators at
+    L = 3..7. Unlike the pins above these rest on numpy's FFT and on libm
+    (exp, log), so another numpy or platform may need them re-recorded."""
+    argv = ("entropy --process fbm:0.7 --process noisy-cubic --process noisy-skew-tent "
+            "--process logistic --l-min 3 --l-max 7 --alpha 0,1,2 --t 5000 -R 2 --seed 3")
+    with pytest.warns(UserWarning, match="undersampled"):
+        assert run(*argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5009e605101064b3f7a1d9d1f89e5c01b34a02a965469fe6b3a84cd03f31dbc")

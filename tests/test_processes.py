@@ -221,6 +221,32 @@ class TestCirculantEmbedding:
         assert minimal > 0  # e.g. every H >= 0.8 at t = 2, H >= 0.92 at t = 6000
 
 
+class TestOrbitCache:
+    @pytest.mark.parametrize("name, args", [
+        ("_logistic_orbit", (5_000, 4.0, 0.3)),
+        ("_cubic_orbit", (5_000, 0.1)),
+        ("_skew_tent_orbit", (5_000, 0.3)),
+    ])
+    def test_cached_orbit_is_the_loop_and_read_only(self, name, args):
+        from ordent import processgen
+
+        orbit = getattr(processgen, name)
+        cached = orbit(*args)
+        assert orbit(*args) is cached
+        assert np.array_equal(cached, orbit.__wrapped__(*args))
+        assert not cached.flags.writeable
+
+    def test_logistic_samples_are_a_writable_copy(self):
+        from ordent.processgen import _logistic_orbit
+
+        spec = logistic(4_000, a=3.9, x0=0.2)
+        samples = generate(spec).samples
+        assert samples.flags.writeable
+        assert not np.shares_memory(samples, _logistic_orbit(4_000, 3.9, 0.2))
+        samples[:] = -1.0
+        assert np.array_equal(generate(spec).samples, _logistic_orbit.__wrapped__(4_000, 3.9, 0.2))
+
+
 class TestFbm:
     def test_starts_at_zero(self):
         x = generate(fbm(100, hurst=0.7, seed=20)).samples

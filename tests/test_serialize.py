@@ -143,7 +143,7 @@ def test_series_csv_blocks(monkeypatch, n):
 def test_join_rank_rows_blocks(monkeypatch, n):
     monkeypatch.setattr(serialize, "_BLOCK", 3)
     codes = np.arange(n, dtype=np.int64) * 11
-    got = serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 5))
+    got = "".join(serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 5)))
     assert got == "|".join("-".join(map(str, decode_pattern(int(c), 5))) for c in codes)
 
 
@@ -151,7 +151,7 @@ def test_join_rank_rows_two_digit_ranks_across_blocks(monkeypatch):
     """L = 12 ranks reach 10 and 11; 10 codes over blocks of 4 end in a short block."""
     monkeypatch.setattr(serialize, "_BLOCK", 4)
     codes = np.linspace(0, math.factorial(12) - 1, 10).astype(np.int64)
-    got = serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 12))
+    got = "".join(serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 12)))
     assert got == "|".join("-".join(map(str, decode_pattern(int(c), 12))) for c in codes)
     assert got.startswith("0-1-2-3-4-5-6-7-8-9-10-11|") and got.endswith("|11-10-9-8-7-6-5-4-3-2-1-0")
 
