@@ -71,36 +71,49 @@ class PatternDistribution:
 
 
 def _count(codes: np.ndarray, size: int) -> tuple:
-    """Distinct codes of ``codes``, all in [0, size), ascending, and how often each occurs."""
-    tally = _Tally(size, codes.size)
-    tally.add(codes)
-    return tally.counted()
+    """Distinct codes of ``codes``, all in [0, size), ascending, and how often each occurs.
+
+    The counting rule of every census: ``np.bincount`` over all ``size``
+    codes when ``size <= codes.size``, ``np.unique`` otherwise.  The range
+    is checked first, so a stray huge code raises instead of sizing the
+    bincount.
+    """
+    if codes.size and (codes.min() < 0 or codes.max() >= size):
+        raise ValueError(f"codes must lie in [0, {size})")
+    if size <= codes.size:
+        counts = np.bincount(codes, minlength=size)
+        distinct = np.flatnonzero(counts)
+        return distinct, counts[distinct]
+    return np.unique(codes, return_counts=True)
 
 
 class _Tally:
     """Counts of ``n`` codes in [0, size) that arrive block by block.
 
-    The counting rule of every census: ``np.bincount`` over all ``size``
-    codes, one block at a time, when ``size <= n``; otherwise the blocks are
-    kept (copied) and sorted once by ``np.unique``.
+    When ``size <= n`` each block is added into ``size`` bins and no codes
+    are kept: by ``np.bincount`` when the block holds at least ``size``
+    codes, by ``np.add.at`` otherwise, so a block costs O(block) whatever
+    ``size`` is.  When ``size > n`` the blocks are kept (copied, since the
+    producer reuses its buffer) and counted once by ``_count``.
     """
 
     def __init__(self, size: int, n: int):
+        self.size = size
         self.bins = np.zeros(size, dtype=np.int64) if size <= n else None
         self.kept = []
 
     def add(self, codes: np.ndarray) -> None:
         if self.bins is None:
             self.kept.append(codes.copy())
+        elif self.size <= codes.size:
+            self.bins += np.bincount(codes, minlength=self.size)
         else:
-            counts = np.bincount(codes, minlength=self.bins.size)
-            if counts.size > self.bins.size:
-                raise ValueError(f"codes must lie in [0, {self.bins.size})")
-            self.bins += counts
+            np.add.at(self.bins, codes, 1)
 
     def counted(self) -> tuple:
         if self.bins is None:
-            return np.unique(np.concatenate(self.kept), return_counts=True)
+            codes = self.kept[0] if len(self.kept) == 1 else np.concatenate(self.kept)
+            return _count(codes, self.size)
         distinct = np.flatnonzero(self.bins)
         return distinct, self.bins[distinct]
 
@@ -123,9 +136,9 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     Equal to ``[census(ts, L) for L in lengths]``, from one pass of lag
     comparisons: the rank codes of every length come block by block from
     the running lag sums of the longest one (``patterns._rank_code_blocks``).
-    Each length counts its rank codes by the rule of every census
-    (``np.bincount`` over all L! codes when L! is at most the window count,
-    so no codes are kept; ``np.unique`` otherwise) and turns only the
+    Each length counts its rank codes by the rule of every census (into L!
+    bins, block by block, when L! is at most the window count, so no codes
+    are kept; ``np.unique`` otherwise; see ``_Tally``) and turns only the
     distinct ones into pattern codes.  A repeated length is counted once and
     its distribution shared.
     """

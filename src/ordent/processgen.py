@@ -166,7 +166,7 @@ def generate(spec: ProcessSpec) -> TimeSeries:
         increments = _fgn_samples(t - 1, spec.hurst, rng)
         x = np.concatenate(([0.0], np.cumsum(increments)))
     elif spec.kind == LOGISTIC:
-        x = _logistic_orbit(t, spec.a, spec.x0).copy()
+        x = _logistic_orbit(t, spec.a, spec.x0)
     elif spec.kind == NOISY_LOGISTIC:
         a = spec.a if spec.a_range is None else rng.uniform(*spec.a_range)
         noise = rng.uniform(-spec.eps, spec.eps, t - 1) if spec.eps > 0 else np.zeros(t - 1)
@@ -182,10 +182,6 @@ def generate(spec: ProcessSpec) -> TimeSeries:
     return TimeSeries(samples=x, meta=spec.describe())
 
 
-# The noise-free map orbits below do not depend on the seed, so the
-# realizations of one spec share them: each is computed once per argument
-# tuple, at most four per map stay alive, and the arrays are read-only.
-@functools.lru_cache(maxsize=4)
 def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
     x = np.empty(t)
     v = x0
@@ -193,7 +189,6 @@ def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
     for i in range(1, t):
         v = a * v * (1.0 - v)
         x[i] = v
-    x.flags.writeable = False
     return x
 
 
@@ -212,6 +207,11 @@ def _noisy_logistic_orbit(t: int, a: float, x0: float, noise: np.ndarray) -> np.
     return x
 
 
+# The noise-free cubic and skew-tent orbits do not depend on the seed, so the
+# noisy realizations of one spec share them: each is computed once per
+# argument tuple, at most four per map stay alive, and the arrays are
+# read-only (the noise is added into a new array).  The logistic orbit is
+# not cached: generate returns it as the samples themselves.
 @functools.lru_cache(maxsize=4)
 def _cubic_orbit(t: int, y0: float) -> np.ndarray:
     b = _CUBIC_BOUND

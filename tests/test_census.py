@@ -198,10 +198,27 @@ class TestCount:
         distinct, counts = _count(codes, size)
         assert list(zip(distinct.tolist(), counts.tolist())) == sorted(Counter(codes.tolist()).items())
 
-    @pytest.mark.parametrize("codes", [[0, 6, 1, 2, 3, 4, 5], [0, 6]], ids=["bincount", "unique"])
+    @pytest.mark.parametrize("codes", [
+        [0, 6, 1, 2, 3, 4, 5],
+        [0, 1, 2, 3, 4, 5, 10**15],
+        [0, 1, 2, -1, 4, 5, 3],
+        [0, 6],
+        [10**15, 0],
+    ], ids=["bincount", "bincount-huge", "bincount-negative", "unique", "unique-huge"])
     def test_from_codes_rejects_codes_out_of_range(self, codes):
-        with pytest.raises(ValueError):
+        # checked before counting, so a huge code never sizes a bincount
+        with pytest.raises(ValueError, match=r"codes must lie in \[0, 6\)"):
             PatternDistribution.from_codes(np.array(codes), 3)
+
+    @pytest.mark.parametrize("length", [5, 6])
+    def test_tally_blocks_smaller_than_the_code_range(self, rng, length):
+        # 16 windows per block against 5! and 6! bins over 2000 windows: each
+        # block is added into the bins by np.add.at
+        x = rng.integers(0, 8, 2000).astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "_CHUNK", 16)
+            (dist,) = census_lengths(x, [length])
+        assert census_pairs(dist) == brute_force_census(x, length)
 
 
 class TestForbiddenPatterns:

@@ -223,7 +223,6 @@ class TestCirculantEmbedding:
 
 class TestOrbitCache:
     @pytest.mark.parametrize("name, args", [
-        ("_logistic_orbit", (5_000, 4.0, 0.3)),
         ("_cubic_orbit", (5_000, 0.1)),
         ("_skew_tent_orbit", (5_000, 0.3)),
     ])
@@ -236,15 +235,16 @@ class TestOrbitCache:
         assert np.array_equal(cached, orbit.__wrapped__(*args))
         assert not cached.flags.writeable
 
-    def test_logistic_samples_are_a_writable_copy(self):
-        from ordent.processgen import _logistic_orbit
-
-        spec = logistic(4_000, a=3.9, x0=0.2)
+    @pytest.mark.parametrize("spec", [noisy_cubic(4_000, seed=2), noisy_skew_tent(4_000, seed=2)])
+    def test_noisy_samples_do_not_alias_the_cache(self, spec):
         samples = generate(spec).samples
-        assert samples.flags.writeable
-        assert not np.shares_memory(samples, _logistic_orbit(4_000, 3.9, 0.2))
+        before = samples.copy()
         samples[:] = -1.0
-        assert np.array_equal(generate(spec).samples, _logistic_orbit.__wrapped__(4_000, 3.9, 0.2))
+        assert np.array_equal(generate(spec).samples, before)
+
+    def test_logistic_samples_are_writable(self):
+        samples = generate(logistic(4_000, a=3.9, x0=0.2)).samples
+        assert samples.flags.writeable
 
 
 class TestFbm:
