@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -169,6 +169,14 @@ def forbidden_patterns(dist: PatternDistribution) -> np.ndarray:
     These are *missing* patterns: absence in a finite sample does not prove
     a pattern can never occur for the underlying process.
     """
+    (codes,) = missing_code_blocks(dist, math.factorial(dist.length))
+    return codes
+
+
+def missing_code_blocks(dist: PatternDistribution, block: int) -> Iterator[np.ndarray]:
+    """The codes of ``forbidden_patterns(dist)``, ascending, as one array per
+    ``block`` consecutive codes of [0, L!), so that all of them are never held
+    at once.  A length above the limit raises here, not on the first block."""
     if dist.length > _MISSING_LENGTH_LIMIT:
         raise ValueError(
             f"enumerating missing patterns at length {dist.length} would require "
@@ -176,7 +184,7 @@ def forbidden_patterns(dist: PatternDistribution) -> np.ndarray:
         )
     missing = np.ones(math.factorial(dist.length), dtype=bool)
     missing[dist.codes] = False
-    return np.flatnonzero(missing)
+    return (lo + np.flatnonzero(missing[lo:lo + block]) for lo in range(0, missing.size, block))
 
 
 @dataclass
@@ -197,23 +205,51 @@ class TransitionMatrix:
 
 
 def transition_matrix(ts, length: int) -> TransitionMatrix:
-    """Estimate one-step pattern transition probabilities from consecutive windows."""
+    """Estimate one-step pattern transition probabilities from consecutive windows.
+
+    Pairs are counted by the rule of every census.  With at least (L!)^2
+    pairs, the pair codes ``r[k] * L! + r[k + 1]`` of consecutive rank codes
+    are tallied block by block into (L!)^2 bins (the last rank code of a block
+    pairs with the first of the next), and only the distinct rank codes become
+    pattern codes.  With fewer, the pattern codes are relabelled by their
+    ascending distinct values, whose pairs fit one int64 at any length, and
+    counted by ``np.unique``.
+    """
     x = as_samples(ts)
     if x.size < length + 1:
         raise ValueError(
             f"series of length {x.size} too short for transitions at window {length}"
         )
-    index = extract_patterns(x, length)
-    distinct = _relabel(index, math.factorial(length), lambda d: np.arange(d.size))
-    # pairs of compact indices fit one int64 column at any length
-    pairs, counts = _count(index[:-1] * distinct.size + index[1:], distinct.size**2)
-    src, dst = np.divmod(pairs, distinct.size)
-    row_totals = np.bincount(src, weights=counts, minlength=distinct.size)
-    probs = counts / row_totals[src]
+    size = math.factorial(length)
+    if size**2 > x.size - length:
+        index = extract_patterns(x, length)
+        distinct = _relabel(index, size, lambda d: np.arange(d.size))
+        pairs, counts = _count(index[:-1] * distinct.size + index[1:], distinct.size**2)
+        src, dst = np.divmod(pairs, distinct.size)
+        return TransitionMatrix(length, _rows(distinct[src], distinct[dst], counts))
+    tally = _Tally(size**2, x.size - length)
+    carry = np.empty(0, dtype=np.int64)
+    for _, _, block in _rank_code_blocks(x, [length]):
+        ranks = np.concatenate((carry, block))  # int64, whatever the block's dtype
+        tally.add(ranks[:-1] * size + ranks[1:])
+        carry = ranks[-1:]
+    pairs, counts = tally.counted()
+    distinct, index = np.unique(np.concatenate(np.divmod(pairs, size)), return_inverse=True)
+    src, dst = np.split(_inverse_codes(distinct, length)[index], 2)
+    order = np.lexsort((dst, src))
+    return TransitionMatrix(length, _rows(src[order], dst[order], counts[order]))
+
+
+def _rows(src: np.ndarray, dst: np.ndarray, counts: np.ndarray) -> dict:
+    """``{source: {target: probability}}`` of the distinct (source, target) code
+    pairs, ascending, seen ``counts`` times."""
+    first = np.flatnonzero(np.diff(src, prepend=-1))  # where each source's row starts
+    totals = np.add.reduceat(counts, first)
+    probs = counts / np.repeat(totals, np.diff(first, append=src.size))
     rows: dict = {}
-    for source, target, p in zip(distinct[src].tolist(), distinct[dst].tolist(), probs.tolist()):
+    for source, target, p in zip(src.tolist(), dst.tolist(), probs.tolist()):
         rows.setdefault(source, {})[target] = p
-    return TransitionMatrix(length=length, rows=rows)
+    return rows
 
 
 @dataclass

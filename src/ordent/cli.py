@@ -17,7 +17,7 @@ import numpy as np
 
 from . import complexity, logistic_exact, processgen, serialize
 from .census import census as run_census
-from .census import finite_pc_curve, forbidden_patterns
+from .census import finite_pc_curve, forbidden_patterns, missing_code_blocks
 from .patterns import MAX_PATTERN_LENGTH, decode_pattern
 
 
@@ -278,9 +278,7 @@ def cmd_census(args) -> int:
         "source": source,
     }
     ranks = decode_pattern(dist.codes, args.length)
-    if args.report_missing:
-        missing = forbidden_patterns(dist)
-        caveat = "missing patterns are not necessarily forbidden"
+    caveat = "missing patterns are not necessarily forbidden"
 
     if args.format == "json":
         payload = {
@@ -292,6 +290,7 @@ def cmd_census(args) -> int:
             ],
         }
         if args.report_missing:
+            missing = forbidden_patterns(dist)
             payload["missing"] = [
                 {"code": c, "ranks": r}
                 for c, r in zip(missing.tolist(), decode_pattern(missing, args.length).tolist())
@@ -301,7 +300,8 @@ def cmd_census(args) -> int:
     else:
         if args.report_missing:
             meta["missing"] = serialize.join_rank_rows(
-                missing, lambda codes: decode_pattern(codes, args.length))
+                missing_code_blocks(dist, serialize._BLOCK),
+                lambda codes: decode_pattern(codes, args.length))
             meta["caveat"] = caveat
         serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"),
                                   (dist.codes, ranks, dist.counts, dist.probs), meta)

@@ -121,7 +121,7 @@ def decode_pattern(code, length: int):
         raise ValueError(f"code {codes[bad][0]} out of range for length {length}")
     if codes.ndim == 0:
         return tuple(int(c) for c in _lehmer_columns(np.int64(codes), length))
-    return np.column_stack(_lehmer_columns(codes.astype(np.int64).reshape(-1), length))
+    return np.column_stack(_lehmer_columns(codes.reshape(-1), length))
 
 
 def _lehmer_columns(codes: np.ndarray, length: int) -> list:
@@ -131,10 +131,13 @@ def _lehmer_columns(codes: np.ndarray, length: int) -> list:
     smaller than entry i), then undoes the digits right to left.
     """
     perm = []
-    rest = codes
-    for i in range(length):
-        digit, rest = np.divmod(rest, factorial(length - 1 - i))
+    rest = codes.astype(np.min_scalar_type(factorial(length) - 1))  # unsigned: // beats divmod
+    for i in range(length - 1):
+        weight = factorial(length - 1 - i)
+        digit = rest // weight
+        rest -= digit * weight
         perm.append(digit.astype(np.int8))
+    perm.append(rest.astype(np.int8))
     for i in range(length - 2, -1, -1):
         for j in range(i + 1, length):
             perm[j] += perm[j] >= perm[i]
@@ -158,14 +161,18 @@ def _rank_code_blocks(x: np.ndarray, lengths: Sequence[int]):
 
     Yields ``(i, start, codes)``: the codes of the windows of length
     ``lengths[i]`` that start at ``start``, ``start + 1``, ..., at most
-    _CHUNK of them, in a buffer that the next step overwrites.  ``x`` must
-    hold at least max(lengths) samples.
+    _CHUNK of them, in a buffer that the next step overwrites.  The buffer
+    has the narrowest signed dtype that holds max(lengths)! (int8 up to
+    L = 5, int16 up to 7, int32 up to 12), so a consumer that does arithmetic
+    on the codes casts them to int64 first.  ``x`` must hold at least
+    max(lengths) samples.
     """
     t = x.size
     low, top = min(lengths), max(lengths)
     width = min(_CHUNK + top - 1, t)  # samples behind one block of windows
     later_smaller = np.empty(width - 1, dtype=np.int8)  # S_m, updated in place for m = 1, 2, ...
-    ends = np.empty(width - low + 1, dtype=np.int64)  # codes by last sample, from sample low - 1 on
+    code_type = np.min_scalar_type(-factorial(top))
+    ends = np.empty(width - low + 1, dtype=code_type)  # codes by last sample, from sample low - 1 on
     term = np.empty_like(ends)
     for start in range(0, t - low + 1, _CHUNK):
         xs = x[start : start + width]
@@ -176,7 +183,7 @@ def _rank_code_blocks(x: np.ndarray, lengths: Sequence[int]):
             later_smaller[: s - m] += xs[m:] < xs[: s - m]
             first = max(m, low - 1)  # the first last sample that needs S_m
             n = s - first
-            np.multiply(later_smaller[first - m : s - m], np.int64(factorial(m)), out=term[:n])
+            np.multiply(later_smaller[first - m : s - m], code_type.type(factorial(m)), out=term[:n])
             ends[first - low + 1 : s - low + 1] += term[:n]
             for i, length in enumerate(lengths):
                 if length == m + 1:
@@ -184,17 +191,18 @@ def _rank_code_blocks(x: np.ndarray, lengths: Sequence[int]):
 
 
 def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
-    """Lehmer code of the inverse of each coded permutation, column by column."""
-    weights = np.array([factorial(length - 1 - i) for i in range(length)], dtype=np.int64)
+    """Lehmer code (int64) of the inverse of each coded permutation, column by column."""
+    code_type = np.min_scalar_type(-factorial(length))
+    weights = np.array([factorial(length - 1 - i) for i in range(length)], dtype=code_type)
     perm = _lehmer_columns(codes, length)
     # the inverse's digit at position perm[q] counts the earlier, larger entries
-    out = np.zeros(codes.size, dtype=np.int64)
+    out = np.zeros(codes.size, dtype=code_type)
     for q in range(1, length):
         earlier_larger = np.zeros(codes.size, dtype=np.int8)
         for p in range(q):
             earlier_larger += perm[p] > perm[q]
         out += earlier_larger * weights[perm[q]]
-    return out
+    return out.astype(np.int64)
 
 
 def extract_patterns(ts, length: int) -> np.ndarray:

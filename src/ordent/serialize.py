@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import struct
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -37,13 +38,13 @@ def read_series_binary(path: str) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    if len(payload) % 8:
-        raise ValueError(
-            f"{path}: truncated payload: {len(payload)} bytes is not a whole number "
-            "of 8-byte samples"
-        )
-    return np.frombuffer(payload, dtype="<f8").copy()
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload % 8:
+            raise ValueError(
+                f"{path}: truncated payload: {payload} bytes is not a whole number "
+                "of 8-byte samples"
+            )
+        return np.fromfile(fh, dtype="<f8", count=payload // 8)
 
 
 def write_series_csv(path_or_fh, samples: np.ndarray) -> None:
@@ -116,15 +117,18 @@ def _column(cells) -> np.ndarray:
     return np.asarray(cells)
 
 
-def join_rank_rows(codes: np.ndarray, decode) -> Iterator[str]:
-    """Pattern codes as ``a-b-...|c-d-...`` text, yielded _BLOCK codes at a time.
+def join_rank_rows(blocks: Iterable[np.ndarray], decode) -> Iterator[str]:
+    """Pattern codes, given as arrays of codes one after another, as
+    ``a-b-...|c-d-...`` text, yielded one array at a time.
 
     ``decode`` maps an array of codes to ``(n, L)`` rank rows.  Only one
-    block's rows and text are alive at once; the pieces join to the whole line.
+    array's rows and text are alive at once; the pieces join to the whole line.
     """
-    for lo in range(0, len(codes), _BLOCK):
-        text = _rows_text([decode(codes[lo:lo + _BLOCK])], "|")
-        yield text if lo + _BLOCK < len(codes) else text[:-1]
+    sep = ""
+    for codes in blocks:
+        if len(codes):
+            yield sep + _rows_text([decode(codes)], "|")[:-1]
+            sep = "|"
 
 
 def _rows_text(cols: list, end: str = "\n") -> str:
@@ -164,18 +168,23 @@ def _cells(col: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(a: np.ndarray) -> np.ndarray:
-    """Decimal text of an integer array along a new last axis: a free NUL slot, '-' if negative, digits."""
-    negative = a < 0
-    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    """Decimal text of an integer array along a new last axis: a free NUL slot, a '-' slot
+    if any value is negative, digits."""
+    low = int(a.min(initial=0))
+    top = max(int(a.max(initial=0)), -low)
+    sign = int(low < 0)
+    last = sign + len(str(top))  # slot of the units digit
+    out = np.zeros(a.shape + (last + 1,), np.uint8)
     rest = a.astype(np.min_scalar_type(top))  # unsigned: negatives wrap, negation below unwraps
-    np.negative(rest, where=negative, out=rest)
-    width = len(str(top))
-    out = np.zeros(a.shape + (width + 2,), np.uint8)
-    out[..., 1] = negative * ord("-")
-    for j in range(width + 1, 1, -1):
+    if sign:
+        negative = a < 0
+        np.negative(rest, where=negative, out=rest)
+        out[..., 1] = negative * ord("-")
+    for j in range(last, sign, -1):
         shown = rest > 0
-        rest, digit = np.divmod(rest, 10)
-        out[..., j] = (digit + ord("0")) * (shown | (j == width + 1))
+        tens = rest // 10
+        out[..., j] = (rest - tens * 10 + ord("0")) * (shown | (j == last))
+        rest = tens
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordent import patterns
-from ordent.census import _count
+from ordent.census import _count, missing_code_blocks
 
 from ordent import (
     MAX_PATTERN_LENGTH,
@@ -245,6 +245,15 @@ class TestForbiddenPatterns:
         dist = PatternDistribution(length=12, codes=[0], counts=[1])
         with pytest.raises(ValueError):
             forbidden_patterns(dist)
+        with pytest.raises(ValueError):
+            missing_code_blocks(dist, 100)  # at the call, before any block is asked for
+
+    @pytest.mark.parametrize("block", [1, 7, 24, 1000])
+    def test_blocks_join_to_the_whole_array(self, rng, block):
+        dist = census(rng.integers(0, 3, 60).astype(float), 4)
+        blocks = list(missing_code_blocks(dist, block))
+        assert len(blocks) == -(-24 // block) and all(b.size <= block for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), forbidden_patterns(dist))
 
 
 class TestTransitionMatrix:
@@ -294,14 +303,9 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             transition_matrix(np.arange(3.0), 3)
 
-    @pytest.mark.parametrize("length", [2, 4, 7, 13])
-    def test_matches_brute_force(self, rng, length):
-        # a repeated block with a few flipped samples: rows with one and with
-        # several targets; at L = 13, (L!)^2 exceeds the int64 range.  L = 2, 4
-        # index through the L! table and count pairs by bincount, L = 7, 13 use
-        # np.unique for both
-        x = np.tile(rng.integers(0, 3, 40), 30).astype(float)
-        x[rng.integers(0, x.size, 25)] += 0.5
+    @staticmethod
+    def assert_brute_force_rows(x, length):
+        """Rows equal to counted pattern pairs, sources and each row's targets ascending."""
         codes = brute_force_codes(x, length)
         pairs = Counter(zip(codes[:-1], codes[1:]))
         totals = Counter(codes[:-1])
@@ -309,9 +313,37 @@ class TestTransitionMatrix:
         for (src, dst), n in sorted(pairs.items()):
             expected.setdefault(src, {})[dst] = n / totals[src]
         tm = transition_matrix(x, length)
-        assert tm.rows == expected
-        assert list(tm.rows) == sorted(expected)
+        assert [(src, list(row.items())) for src, row in tm.rows.items()] == \
+            [(src, list(row.items())) for src, row in expected.items()]
         assert any(len(row) > 1 for row in tm.rows.values())
+
+    @staticmethod
+    def flipped_tiles(rng):
+        # a repeated block with a few flipped samples: rows with one and with several targets
+        x = np.tile(rng.integers(0, 3, 40), 30).astype(float)
+        x[rng.integers(0, x.size, 25)] += 0.5
+        return x
+
+    @pytest.mark.parametrize("length", [2, 4, 7, 13])
+    def test_matches_brute_force(self, rng, length):
+        # 1187..1198 pairs: L = 2, 4 tally rank-code pairs in (L!)^2 bins; L = 7,
+        # 13 count compact-index pairs by np.unique (at L = 13, (L!)^2 exceeds
+        # the int64 range)
+        self.assert_brute_force_rows(self.flipped_tiles(rng), length)
+
+    @pytest.mark.parametrize("chunk", [7, 16])
+    @pytest.mark.parametrize("length", [2, 4, 7])
+    def test_matches_brute_force_across_chunk_seams(self, rng, monkeypatch, chunk, length):
+        # the pair of each block's last and the next block's first window is
+        # counted once; L = 2 adds blocks by bincount, L = 4 by np.add.at over
+        # 576 bins of int8 rank codes whose pair codes pass the int8 range
+        monkeypatch.setattr(patterns, "_CHUNK", chunk)
+        self.assert_brute_force_rows(self.flipped_tiles(rng), length)
+
+    def test_bincount_side_at_the_widest_int8_codes(self, rng, monkeypatch):
+        # L = 5 codes fill int8 up to 119; 20000 pairs reach the 120^2 bins
+        monkeypatch.setattr(patterns, "_CHUNK", 1000)
+        self.assert_brute_force_rows(rng.integers(0, 6, 20_000).astype(float), 5)
 
 
 class TestFinitePcCurve:

@@ -181,6 +181,16 @@ class TestExtractPatterns:
         x = rng.integers(0, 5, 400).astype(float)
         assert extract_patterns(x, length).tolist() == brute_force_codes(x, length)
 
+    @pytest.mark.parametrize("length", [5, 6, 7, 8, 12, 13])
+    def test_int64_codes_at_every_buffer_width(self, length):
+        # the encoder's buffers are int8 up to L = 5, int16 up to 7, int32 up
+        # to 12: the top code L! - 1 sits at each width's edge
+        x = np.concatenate((np.arange(3.0 * length), -np.arange(3.0 * length)))
+        codes = extract_patterns(x, length)
+        assert codes.dtype == np.int64
+        assert codes.max() == math.factorial(length) - 1
+        assert codes.tolist() == brute_force_codes(x, length)
+
     def test_extreme_codes_at_max_length(self):
         x = np.arange(2.0 * MAX_PATTERN_LENGTH)
         top = math.factorial(MAX_PATTERN_LENGTH) - 1

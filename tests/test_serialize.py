@@ -80,6 +80,7 @@ SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -
 COLUMN_KINDS = {
     "int64": (st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1, -1, 0, 9, 10]), np.int64),
     "uint64": (st.integers(0, 2**64 - 1) | st.sampled_from([2**64 - 1, 2**63, 0, 10]), np.uint64),
+    "int8": (st.integers(-128, 127) | st.sampled_from([-128, 127, -1, 0]), np.int8),
     "float64": (st.floats() | st.sampled_from(SPECIAL_FLOATS), np.float64),
     "float32": (st.floats(width=32), np.float32),
     "bool": (st.booleans(), bool),
@@ -140,18 +141,19 @@ def test_series_csv_blocks(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 7])
-def test_join_rank_rows_blocks(monkeypatch, n):
-    monkeypatch.setattr(serialize, "_BLOCK", 3)
+def test_join_rank_rows_blocks(n):
+    # blocks of 3 codes, with an empty block first and after every block
     codes = np.arange(n, dtype=np.int64) * 11
-    got = "".join(serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 5)))
+    blocks = [codes[:0]] + [b for lo in range(0, n, 3) for b in (codes[lo:lo + 3], codes[:0])]
+    got = "".join(serialize.join_rank_rows(blocks, lambda c: decode_pattern(c, 5)))
     assert got == "|".join("-".join(map(str, decode_pattern(int(c), 5))) for c in codes)
 
 
-def test_join_rank_rows_two_digit_ranks_across_blocks(monkeypatch):
+def test_join_rank_rows_two_digit_ranks_across_blocks():
     """L = 12 ranks reach 10 and 11; 10 codes over blocks of 4 end in a short block."""
-    monkeypatch.setattr(serialize, "_BLOCK", 4)
     codes = np.linspace(0, math.factorial(12) - 1, 10).astype(np.int64)
-    got = "".join(serialize.join_rank_rows(codes, lambda c: decode_pattern(c, 12)))
+    blocks = (codes[lo:lo + 4] for lo in range(0, codes.size, 4))
+    got = "".join(serialize.join_rank_rows(blocks, lambda c: decode_pattern(c, 12)))
     assert got == "|".join("-".join(map(str, decode_pattern(int(c), 12))) for c in codes)
     assert got.startswith("0-1-2-3-4-5-6-7-8-9-10-11|") and got.endswith("|11-10-9-8-7-6-5-4-3-2-1-0")
 
