@@ -205,7 +205,10 @@ def _series_for(spec: processgen.ProcessSpec, transient: int) -> np.ndarray:
 
 def _workers() -> int:
     cap = os.environ.get("ORDENT_THREADS")
-    available = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        available = len(os.sched_getaffinity(0))
+    else:
+        available = os.cpu_count() or 1
     if cap is None:
         return available
     try:

@@ -251,7 +251,10 @@ def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(1)
     if hurst == 0.5:
         return rng.standard_normal(t)
-    return _fgn_circulant(_circulant_coefficients(t, hurst), t, rng)
+    coeff = _circulant_coefficients(t, hurst)
+    if _is_5_smooth(coeff.size):
+        return _fgn_circulant(coeff, t, rng)
+    return _fgn_chirp(_chirp_plan(t, hurst), t, rng)
 
 
 @functools.lru_cache(maxsize=4)
@@ -287,13 +290,98 @@ def _indefinite(eigenvalues: np.ndarray) -> bool:
     return bool((eigenvalues < -1e-9 * eigenvalues.max()).any())
 
 
-def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    m = coeff.size  # = 2t
-    z = np.empty(m, dtype=np.complex128)
+def _hermitian_half(t: int, rng: np.random.Generator) -> np.ndarray:
+    """z[0 .. t] of the Hermitian normal vector z[2t - k] = conj(z[k]), drawn in a fixed order."""
+    z = np.empty(t + 1, dtype=np.complex128)
     z[0] = rng.standard_normal()
     z[t] = rng.standard_normal()
     v = rng.standard_normal((t - 1, 2))
-    half = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
-    z[1:t] = half
-    z[t + 1 :] = np.conj(half[::-1])
+    z[1:t] = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
+    return z
+
+
+def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
+    half = _hermitian_half(t, rng)
+    z = np.concatenate((half, np.conj(half[t - 1 : 0 : -1])))
     return np.fft.fft(coeff * z).real[:t]
+
+
+def _fgn_chirp(plan: tuple, t: int, rng: np.random.Generator) -> np.ndarray:
+    """The first t values of _fgn_circulant's fft(coeff * z).real, from the same draws.
+
+    The real output r of the Hermitian spectrum coeff * z packs as
+    s[p] = r[2p] + i r[2p+1], the length-t DFT of
+    A[k] = h[k] (1 + i w[k]) z[k] + h[t - k] (1 - i w[k]) conj(z[t - k]),
+    so only z[0 .. t] is built, and only s[p] for p < ceil(t/2) is needed.
+    Bluestein's identity kp = (k^2 + p^2 - (p - k)^2) / 2 turns that DFT into
+    a chirp product, one circular convolution at a 5-smooth size and a second
+    chirp product.  _chirp_plan folds every factor that depends only on
+    (t, hurst).
+    """
+    head, tail, kernel, twiddle = plan
+    z = _hermitian_half(t, rng)
+    # in place where a temporary would be as large as the transform
+    a = head * z[:t]
+    a += tail * np.conj(z[t:0:-1])
+    spectrum = np.fft.fft(a, kernel.size)
+    spectrum *= kernel
+    s = np.fft.ifft(spectrum)[: twiddle.size]
+    s *= twiddle
+    return s.view(np.float64)[:t]
+
+
+@functools.lru_cache(maxsize=4)
+def _chirp_plan(t: int, hurst: float) -> tuple:
+    """Read-only (head, tail, kernel, twiddle) of _fgn_chirp for t fGn samples.
+
+    With h the symmetrised coefficients h[k] = (coeff[k] + coeff[2t - k]) / 2
+    (the real part of the direct FFT sees only that average), w[k] = exp(-i pi k / t)
+    the packing twiddle and c[k] = exp(-i pi k^2 / t) the chirp:
+    head = h[k] (1 + i w[k]) c[k], tail = h[t - k] (1 - i w[k]) c[k],
+    kernel = FFT of conj(c[j]) placed at j mod n for -(t - 1) <= j < ceil(t/2),
+    twiddle = c[p] for p < ceil(t/2).  n is the least 5-smooth size that holds
+    that convolution without wrap-around.  Like _circulant_coefficients, at
+    most four plans stay alive (about 64 bytes per sample each).
+    """
+    coeff = _circulant_coefficients(t, hurst)
+    h = np.empty(t + 1)
+    h[0], h[t] = coeff[0], coeff[t]
+    h[1:t] = 0.5 * (coeff[1:t] + coeff[: t : -1])
+    k = np.arange(t)
+    twist = 1j * np.exp(-1j * np.pi * k / t)
+    # k^2 mod 2t keeps the phase argument small and exact
+    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * t)) / t)
+    head = h[:t] * (1.0 + twist) * chirp
+    tail = h[t:0:-1] * (1.0 - twist) * chirp
+    m = (t + 1) // 2
+    n = _next_5_smooth(t + m - 1)
+    row = np.zeros(n, dtype=np.complex128)
+    row[:m] = np.conj(chirp[:m])
+    row[n - t + 1 :] = np.conj(chirp[t - 1 : 0 : -1])
+    plan = (head, tail, np.fft.fft(row), chirp[:m].copy())
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _next_5_smooth(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best

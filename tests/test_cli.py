@@ -282,6 +282,20 @@ class TestWorkerCap:
         with pytest.raises(UsageError):
             _workers()
 
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        import os
+
+        from ordent.cli import _workers
+
+        monkeypatch.delenv("ORDENT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _workers() == 3
+        monkeypatch.setenv("ORDENT_THREADS", "8")
+        assert _workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers() == 8
+
     def test_threaded_pc_curve_matches_serial(self, tmp_path, monkeypatch):
         outputs = []
         for threads in ("1", "4"):

@@ -221,6 +221,64 @@ class TestCirculantEmbedding:
         assert minimal > 0  # e.g. every H >= 0.8 at t = 2, H >= 0.92 at t = 6000
 
 
+def direct_fgn(t, hurst, seed):
+    """fGn by the full-length FFT of the circulant embedding, from generate's draws."""
+    from ordent.processgen import _circulant_coefficients
+
+    rng = np.random.default_rng(seed)
+    coeff = _circulant_coefficients(t, hurst)
+    z = np.empty(2 * t, dtype=np.complex128)
+    z[0] = rng.standard_normal()
+    z[t] = rng.standard_normal()
+    v = rng.standard_normal((t - 1, 2))
+    half = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
+    z[1:t] = half
+    z[t + 1 :] = np.conj(half[::-1])
+    return np.fft.fft(coeff * z).real[:t]
+
+
+class TestChirpTransform:
+    # 2t is not 5-smooth: odd and even t, prime (7, 11, 4999) and composite;
+    # at t = 7 and 11 the minimal (cov[t]) row is in use from H = 0.8 on
+    @pytest.mark.parametrize("t", [7, 11, 14, 4998, 4999, 14999, 59999])
+    @pytest.mark.parametrize("hurst", [0.2, 0.7, 0.95])
+    def test_matches_the_direct_transform(self, t, hurst):
+        x = generate(fgn(t, hurst, seed=t)).samples
+        expected = direct_fgn(t, hurst, seed=t)
+        assert x.shape == (t,)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("t", [2, 3, 1_000, 6_000])
+    @pytest.mark.parametrize("hurst", [0.2, 0.7, 0.95])
+    def test_5_smooth_embedding_keeps_its_bits(self, t, hurst):
+        assert np.array_equal(generate(fgn(t, hurst, seed=9)).samples, direct_fgn(t, hurst, 9))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fbm_census_is_unchanged(self, seed):
+        from ordent import census_lengths
+
+        direct = np.concatenate(([0.0], np.cumsum(direct_fgn(59_999, 0.7, seed))))
+        got = census_lengths(generate(fbm(60_000, 0.7, seed=seed)).samples, range(3, 8))
+        want = census_lengths(direct, range(3, 8))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
+
+    def test_plan_is_read_only(self):
+        from ordent.processgen import _chirp_plan
+
+        plan = _chirp_plan(4_999, 0.7)
+        assert plan[2].size == 7_500  # least 5-smooth size >= 4999 + 2500 - 1
+        assert not any(array.flags.writeable for array in plan)
+
+    @pytest.mark.parametrize("n, smooth", [(1, 1), (7, 8), (11, 12), (89_998, 90_000),
+                                           (2_999_999, 3_000_000), (4_097, 4_320)])
+    def test_next_5_smooth(self, n, smooth):
+        from ordent.processgen import _is_5_smooth, _next_5_smooth
+
+        assert _next_5_smooth(n) == smooth
+        assert all(not _is_5_smooth(k) for k in range(n, smooth))
+
+
 class TestOrbitCache:
     @pytest.mark.parametrize("name, args", [
         ("_cubic_orbit", (5_000, 0.1)),
