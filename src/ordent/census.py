@@ -58,7 +58,7 @@ class PatternDistribution:
 
     def probability(self, pattern) -> float:
         """Relative frequency of one pattern (a code or a rank tuple); 0.0 if unseen."""
-        code = _as_code(pattern)
+        code = _as_code(pattern, self.length)
         i = int(np.searchsorted(self.codes, code))
         if i < self.codes.size and self.codes[i] == code:
             return float(self.counts[i] / self.total)
@@ -118,10 +118,14 @@ class _Tally:
         return distinct, self.bins[distinct]
 
 
-def _as_code(pattern) -> PatternCode:
+def _as_code(pattern, length: int) -> PatternCode:
+    """The code of a pattern given as a code or as a rank tuple of ``length`` entries."""
     if isinstance(pattern, (int, np.integer)):
         return int(pattern)
-    return encode_pattern(pattern)
+    ranks = tuple(pattern)
+    if len(ranks) != length:
+        raise ValueError(f"pattern {ranks} has {len(ranks)} ranks, not {length}")
+    return encode_pattern(ranks)
 
 
 def census(ts, length: int) -> PatternDistribution:
@@ -195,10 +199,11 @@ class TransitionMatrix:
     rows: dict  # code -> {code -> probability}
 
     def row(self, pattern) -> dict:
-        return dict(self.rows.get(_as_code(pattern), {}))
+        return dict(self.rows.get(_as_code(pattern, self.length), {}))
 
     def probability(self, source, target) -> float:
-        return self.rows.get(_as_code(source), {}).get(_as_code(target), 0.0)
+        row = self.rows.get(_as_code(source, self.length), {})
+        return row.get(_as_code(target, self.length), 0.0)
 
     def row_patterns(self) -> list:
         return [tuple(r) for r in decode_pattern(sorted(self.rows), self.length).tolist()]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import complexity, logistic_exact, processgen, serialize
 from .census import census as run_census
-from .census import finite_pc_curve, forbidden_patterns, missing_code_blocks
+from .census import census_lengths, finite_pc_curve, forbidden_patterns, missing_code_blocks
 from .patterns import MAX_PATTERN_LENGTH, decode_pattern
 
 
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, single=True)
     p.add_argument("--l-min", type=int, default=3)
     p.add_argument("--l-max", type=int, default=7)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", default="1.0", help="one Renyi order (0 = topological)")
     _add_class_args(p)
     p.add_argument("--realizations", "-R", type=int, default=10)
     p.add_argument("--transient", type=int, default=None)
@@ -190,17 +190,10 @@ def _make_spec(kind: str, t: int, seed: int, overrides: dict) -> processgen.Proc
     raise UsageError(f"unknown process {kind!r}; choose from {sorted(processgen.KINDS)}")
 
 
-def _default_transient(spec: processgen.ProcessSpec, requested: Optional[int]) -> int:
-    if requested is not None:
-        if requested < 0:
-            raise UsageError(f"transient must be >= 0, got {requested}")
-        return requested
-    return spec.default_transient
-
-
-def _series_for(spec: processgen.ProcessSpec, transient: int) -> np.ndarray:
-    spec = processgen.replace_spec(spec, t=spec.t + transient)
-    return processgen.generate(spec).samples[transient:]
+def _transient(args) -> Optional[int]:
+    if args.transient is not None and args.transient < 0:
+        raise UsageError(f"transient must be >= 0, got {args.transient}")
+    return args.transient
 
 
 def _workers() -> int:
@@ -222,8 +215,11 @@ def _parse_alphas(text: str) -> List[float]:
         alphas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"cannot parse alpha list {text!r}")
-    if not alphas or any(a < 0 for a in alphas):
-        raise UsageError("alpha list must contain values >= 0")
+    if not alphas:
+        raise UsageError(f"no alpha in {text!r}")
+    for a in alphas:
+        if not 0 <= a < math.inf:
+            raise UsageError(f"alpha must be finite and >= 0, got {a:g}")
     return alphas
 
 
@@ -269,7 +265,7 @@ def cmd_census(args) -> int:
         source = args.input
     else:
         spec = _spec_token(args, args.process)
-        samples = _series_for(spec, _default_transient(spec, args.transient))
+        samples = processgen.steady_samples(spec, _transient(args))
         source = spec.kind
 
     dist = run_census(samples, args.length)
@@ -352,9 +348,9 @@ def cmd_entropy(args) -> int:
     growth = _growth_from_args(args)
     lengths = _length_range(args)
     _check_realizations(args.realizations)
+    transient = _transient(args)
     rows = []
     for spec in specs:
-        transient = _default_transient(spec, args.transient)
         for alpha in alphas:
             estimate = complexity.entropy_rate(
                 spec, growth, alpha, lengths, t=args.t,
@@ -372,16 +368,19 @@ def cmd_entropy(args) -> int:
 
 def cmd_rate(args) -> int:
     spec = _spec_token(args, args.process)
+    alphas = _parse_alphas(args.alpha)
+    if len(alphas) != 1:
+        raise UsageError(f"rate takes one alpha, got {args.alpha!r}")
     growth = _growth_from_args(args)
     lengths = _length_range(args)
     _check_realizations(args.realizations)
     estimate = complexity.entropy_rate(
-        spec, growth, args.alpha, lengths, t=args.t,
+        spec, growth, alphas[0], lengths, t=args.t,
         realizations=args.realizations, seed=args.seed,
-        transient=_default_transient(spec, args.transient), workers=_workers(),
+        transient=_transient(args), workers=_workers(),
     )
     meta = {
-        "process": _process_label(spec), "alpha": args.alpha, "class": growth.label,
+        "process": _process_label(spec), "alpha": alphas[0], "class": growth.label,
         "t": args.t, "realizations": args.realizations, "seed": args.seed,
         "final": estimate.final,
     }
@@ -398,8 +397,9 @@ def cmd_classify(args) -> int:
     else:
         spec = _spec_token(args, args.process)
         lengths = _length_range(args)
-        samples = _series_for(spec, _default_transient(spec, args.transient))
-        pairs = [(L, math.log(run_census(samples, L).allowed_count)) for L in lengths]
+        samples = processgen.steady_samples(spec, _transient(args))
+        pairs = [(L, math.log(dist.allowed_count))
+                 for L, dist in zip(lengths, census_lengths(samples, lengths))]
     try:
         fit = complexity.classify_growth(pairs)
     except ValueError as exc:
@@ -480,7 +480,10 @@ def _process_label(spec: processgen.ProcessSpec) -> str:
 
 
 def _read_growth_pairs(path: str) -> List[tuple]:
-    pairs, header = [], True
+    """(L, ln_allowed) rows, ascending in L: the points classify_growth fits, in its order.
+
+    A non-integer or repeated L is a data error."""
+    pairs, header = {}, True
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -491,12 +494,17 @@ def _read_growth_pairs(path: str) -> List[tuple]:
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'L,ln_allowed', got {text!r}")
             try:
-                pairs.append((int(float(parts[0])), float(parts[1])))
+                length, value = float(parts[0]), float(parts[1])
             except ValueError:
                 if first:
                     continue  # header row, after any '#' comment lines
                 raise ValueError(f"{path}:{lineno}: cannot parse {text!r}")
-    return pairs
+            if not length.is_integer():
+                raise ValueError(f"{path}:{lineno}: length {parts[0].strip()!r} is not an integer")
+            if int(length) in pairs:
+                raise ValueError(f"{path}:{lineno}: length {int(length)} repeated")
+            pairs[int(length)] = value
+    return sorted(pairs.items())
 
 
 if __name__ == "__main__":

@@ -194,14 +194,14 @@ def entropy_rate(
 
     alpha = 0 selects the topological variant (driven by the allowed-pattern
     count); alpha > 0 the metric one.  Realization r uses seed + r, so
-    results do not depend on scheduling.  Each realization is generated once
-    and counted at every length by one ``census_lengths`` call (one pass of
-    lag comparisons; bincount counting where L! is at most the window
-    count).  A warning is emitted when the window count is below 10 L!,
-    where the pattern census is badly undersampled.
+    results do not depend on scheduling.  Each realization comes from
+    ``processgen.steady_samples`` and is counted at every length by one
+    ``census_lengths`` call (one pass of lag comparisons; bincount counting
+    where L! is at most the window count).  A warning is emitted when the
+    window count is below 10 L!, where the pattern census is badly undersampled.
     """
     from .census import census_lengths
-    from .processgen import generate, replace_spec
+    from .processgen import replace_spec, steady_samples
 
     lengths = [int(L) for L in l_range]
     if not lengths:
@@ -212,10 +212,6 @@ def entropy_rate(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
-    if transient is None:
-        transient = spec.default_transient
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
     for L in lengths:
         if t - L + 1 < 10 * math.factorial(L):
             warnings.warn(
@@ -225,13 +221,13 @@ def entropy_rate(
             )
 
     def one_realization(r: int) -> np.ndarray:
-        series = generate(replace_spec(spec, t=t + transient, seed=seed + r)).samples[transient:]
+        series = steady_samples(replace_spec(spec, t=t, seed=seed + r), transient)
         out = np.empty(len(lengths))
         for i, (L, dist) in enumerate(zip(lengths, census_lengths(series, lengths))):
             if alpha == 0:
                 z = topological_perm_entropy(dist.allowed_count, growth)
             else:
-                z = growth.entropy(renyi(dist.probs, alpha))
+                z = metric_perm_entropy(dist, growth, alpha)
             out[i] = z / L
         return out
 

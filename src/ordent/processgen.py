@@ -182,6 +182,15 @@ def generate(spec: ProcessSpec) -> TimeSeries:
     return TimeSeries(samples=x, meta=spec.describe())
 
 
+def steady_samples(spec: ProcessSpec, transient: Optional[int] = None) -> np.ndarray:
+    """The spec.t samples after a dropped transient (None: spec.default_transient)."""
+    if transient is None:
+        transient = spec.default_transient
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
+    return generate(replace_spec(spec, t=spec.t + transient)).samples[transient:]
+
+
 def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
     x = np.empty(t)
     v = x0

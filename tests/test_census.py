@@ -48,6 +48,13 @@ class TestCensus:
         for code in range(6):
             assert dist.probability(code) == pytest.approx(1.0 / 6.0, abs=0.01)
 
+    @pytest.mark.parametrize("pattern", [(0, 1), (1, 0), (0, 1, 2, 3)])
+    def test_rank_tuple_of_another_length_raises(self, pattern):
+        dist = census(np.random.default_rng(0).standard_normal(5000), 3)
+        with pytest.raises(ValueError, match="ranks"):
+            dist.probability(pattern)
+        assert dist.probability(6) == 0.0 and dist.probability(np.int64(720)) == 0.0
+
     def test_logistic_misses_descending_pattern(self, logistic_orbit):
         dist = census(logistic_orbit[:100_000], 3)
         assert dist.allowed_count == 5
@@ -257,6 +264,17 @@ class TestForbiddenPatterns:
 
 
 class TestTransitionMatrix:
+    @pytest.mark.parametrize("pattern", [(0, 1), (1, 0), (0, 1, 2, 3)])
+    def test_rank_tuple_of_another_length_raises(self, pattern):
+        tm = transition_matrix(np.random.default_rng(0).standard_normal(5000), 3)
+        with pytest.raises(ValueError, match="ranks"):
+            tm.row(pattern)
+        with pytest.raises(ValueError, match="ranks"):
+            tm.probability(pattern, (0, 1, 2))
+        with pytest.raises(ValueError, match="ranks"):
+            tm.probability((0, 1, 2), pattern)
+        assert tm.row(6) == {} and tm.probability(6, 0) == 0.0
+
     def test_logistic_row_matches_exact_values(self, logistic_orbit):
         tm = transition_matrix(logistic_orbit, 3)
         row = tm.row((0, 1, 2))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ordent
+from ordent import census, generate, noisy_cubic
 from ordent.cli import main
 from ordent.serialize import read_series, read_series_binary, write_series_csv
 
@@ -214,6 +215,20 @@ class TestEntropyAndRate:
         assert run(*argv) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["rate", "entropy"])
+    def test_bad_alpha_exit_2_before_any_generation(self, capsys, monkeypatch, command, alpha):
+        def no_generation(spec):
+            raise AssertionError("generated a series for a bad alpha")
+
+        monkeypatch.setattr("ordent.processgen.generate", no_generation)
+        assert run(command, "--process", "white-noise", "--t", "1000", f"--alpha={alpha}") == 2
+        assert "usage error: alpha must be finite and >= 0" in capsys.readouterr().err
+
+    def test_rate_takes_one_alpha(self, capsys):
+        assert run("rate", "--process", "white-noise", "--alpha", "0.5,1") == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_subfactorial_requires_c(self):
         assert run("rate", "--process", "white-noise", "--class", "subfactorial",
                    "--t", "1000") == 2
@@ -249,6 +264,40 @@ class TestClassify:
         first = [line for line in out.read_text().splitlines() if line.startswith(fit)]
         second = [line for line in capsys.readouterr().out.splitlines() if line.startswith(fit)]
         assert len(first) == 6 and second == first
+
+    def test_rows_are_the_fitted_points_in_ascending_length(self, tmp_path):
+        data = tmp_path / "growth.csv"
+        data.write_text("5,4.2\n3,1.6\n4,2.9\n6,5.5\n")
+        out = tmp_path / "fit.json"
+        assert run("classify", "--input", str(data), "--format", "json", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        meta, rows = payload["meta"], payload["rows"]
+        assert [(r["L"], r["ln_allowed"]) for r in rows] == [(3, 1.6), (4, 2.9), (5, 4.2), (6, 5.5)]
+        model = {"c*L": lambda L: meta["c_hat"] * L,
+                 "c*L*lnL": lambda L: meta["c_hat"] * L * math.log(L),
+                 "lnL!": lambda L: math.lgamma(L + 1.0)}[meta["model"]]
+        for r in rows:
+            assert r["residual"] == pytest.approx(r["ln_allowed"] - model(r["L"]), abs=1e-12)
+
+    @pytest.mark.parametrize("text, line", [
+        ("L,ln_allowed\n3,1.6\n4,2.9\n4,3.1\n6,5.5\n", 4),
+        ("3.7,1.6\n4,2.9\n5,4.2\n", 1),
+        ("# note\nL,ln_allowed\n3,1.6\n4.5,2.9\n5,4.2\n", 4),
+    ], ids=["repeated", "fractional-first", "fractional"])
+    def test_bad_length_exit_1(self, tmp_path, capsys, text, line):
+        data = tmp_path / "growth.csv"
+        data.write_text(text)
+        assert run("classify", "--input", str(data)) == 1
+        assert f"{data}:{line}:" in capsys.readouterr().err
+
+    def test_process_rows_are_the_census_counts(self, tmp_path):
+        out = tmp_path / "fit.json"
+        assert run("classify", "--process", "noisy-cubic", "--t", "8000", "--seed", "2",
+                   "--l-min", "3", "--l-max", "7", "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["rows"]
+        series = generate(noisy_cubic(9000, seed=2)).samples[1000:]
+        assert [(r["L"], r["ln_allowed"]) for r in rows] == [
+            (L, math.log(census(series, L).allowed_count)) for L in range(3, 8)]
 
 
 class TestOracle:

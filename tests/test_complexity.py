@@ -8,16 +8,20 @@ import pytest
 from conftest import product_distribution, random_distribution
 from ordent import (
     ComplexityClass,
+    census_lengths,
     classify_growth,
     composition_law_for,
     entropy_rate,
     metric_perm_entropy,
+    noisy_cubic,
     renyi,
+    replace_spec,
     shannon,
     topological_perm_entropy,
     white_noise,
     logistic,
 )
+from ordent.processgen import steady_samples
 
 
 def invert_t_log_t(s, c=1.0, hi=25.0):
@@ -248,6 +252,22 @@ class TestEntropyRate:
                 logistic(1_000), ComplexityClass.factorial(), alpha=1.0, l_range=[3],
                 t=1_000, realizations=1, seed=0, transient=-1,
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_scores_each_length_by_the_class_entropy_functions(self, alpha):
+        """Z/L of every realization is the library's class entropy of that
+        realization's census, bit for bit."""
+        growth = ComplexityClass.factorial()
+        spec, lengths = noisy_cubic(4_000), [3, 4, 5]
+        est = entropy_rate(spec, growth, alpha, lengths, t=4_000, realizations=3, seed=8)
+        for r, row in enumerate(est.per_realization):
+            series = steady_samples(replace_spec(spec, seed=8 + r))
+            expected = [
+                (topological_perm_entropy(d.allowed_count, growth) if alpha == 0
+                 else metric_perm_entropy(d, growth, alpha)) / L
+                for L, d in zip(lengths, census_lengths(series, lengths))
+            ]
+            assert row.tolist() == expected
 
     def test_workers_do_not_change_results(self):
         fac = ComplexityClass.factorial()

@@ -18,6 +18,7 @@ from ordent import (
     replace_spec,
     white_noise,
 )
+from ordent.processgen import steady_samples
 
 ALL_SPECS = [
     white_noise(20_000, seed=1),
@@ -49,6 +50,28 @@ class TestReproducibility:
         ts = generate(white_noise(100, seed=42))
         assert ts.meta["kind"] == "white-noise"
         assert ts.meta["seed"] == 42
+
+
+class TestSteadySamples:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("k", [0, 1, 37])
+    def test_drops_the_first_k_of_a_longer_run(self, spec, k):
+        spec = replace_spec(spec, t=3_000)
+        expected = generate(replace_spec(spec, t=spec.t + k)).samples[k:]
+        assert np.array_equal(steady_samples(spec, k), expected)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_none_resolves_to_the_kind_default(self, spec):
+        spec = replace_spec(spec, t=3_000)
+        maps = ("logistic", "noisy-logistic", "noisy-cubic", "noisy-skew-tent")
+        k = 1000 if spec.kind in maps else 0
+        assert spec.default_transient == k
+        expected = generate(replace_spec(spec, t=spec.t + k)).samples[k:]
+        assert np.array_equal(steady_samples(spec), expected)
+
+    def test_rejects_negative_transient(self):
+        with pytest.raises(ValueError, match="transient must be >= 0, got -1"):
+            steady_samples(logistic(100), -1)
 
 
 class TestValidation:
