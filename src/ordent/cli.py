@@ -349,17 +349,22 @@ def cmd_entropy(args) -> int:
     lengths = _length_range(args)
     _check_realizations(args.realizations)
     transient = _transient(args)
+    grid = [(spec, alpha) for spec in specs for alpha in alphas]
+
+    # one pool for the command: each (spec, alpha) job runs its realizations inline
+    def job(i: int) -> complexity.RateEstimate:
+        spec, alpha = grid[i]
+        return complexity.entropy_rate(
+            spec, growth, alpha, lengths, t=args.t,
+            realizations=args.realizations, seed=args.seed,
+            transient=transient, workers=1,
+        )
+
     rows = []
-    for spec in specs:
-        for alpha in alphas:
-            estimate = complexity.entropy_rate(
-                spec, growth, alpha, lengths, t=args.t,
-                realizations=args.realizations, seed=args.seed,
-                transient=transient, workers=_workers(),
-            )
-            label = _process_label(spec)
-            for L, value in zip(estimate.lengths, estimate.values):
-                rows.append((label, L, alpha, growth.label, float(value)))
+    for (spec, alpha), estimate in zip(grid, complexity._run_indexed(job, len(grid), _workers())):
+        label = _process_label(spec)
+        for L, value in zip(estimate.lengths, estimate.values):
+            rows.append((label, L, alpha, growth.label, float(value)))
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
     meta = {"t": args.t, "realizations": args.realizations, "seed": args.seed}
     _write_rows(args, ("process", "L", "alpha", "class", "z_over_l"), rows, meta)
@@ -482,7 +487,7 @@ def _process_label(spec: processgen.ProcessSpec) -> str:
 def _read_growth_pairs(path: str) -> List[tuple]:
     """(L, ln_allowed) rows, ascending in L: the points classify_growth fits, in its order.
 
-    A non-integer or repeated L is a data error."""
+    A non-integer, repeated or out-of-range L is a data error."""
     pairs, header = {}, True
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -501,6 +506,8 @@ def _read_growth_pairs(path: str) -> List[tuple]:
                 raise ValueError(f"{path}:{lineno}: cannot parse {text!r}")
             if not length.is_integer():
                 raise ValueError(f"{path}:{lineno}: length {parts[0].strip()!r} is not an integer")
+            if not 2 <= length <= MAX_PATTERN_LENGTH:
+                raise ValueError(f"{path}:{lineno}: length {int(length)} outside 2..{MAX_PATTERN_LENGTH}")
             if int(length) in pairs:
                 raise ValueError(f"{path}:{lineno}: length {int(length)} repeated")
             pairs[int(length)] = value

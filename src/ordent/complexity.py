@@ -119,8 +119,8 @@ def metric_perm_entropy(p, growth: ComplexityClass, alpha: float) -> float:
     (Shannon) permutation entropy.  Closed forms: R/c for exponential growth
     and exp(W(R/c)) - 1 for the factorial-type laws.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     return growth.entropy(renyi(probabilities_of(p), alpha))
 
 
@@ -208,8 +208,8 @@ def entropy_rate(
         raise ValueError("l_range must be non-empty")
     for L in lengths:
         check_length(L)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     for L in lengths:
@@ -242,7 +242,7 @@ def entropy_rate(
     )
 
 
-def _run_indexed(fn: Callable[[int], np.ndarray], n: int, workers: int) -> list:
+def _run_indexed(fn: Callable[[int], object], n: int, workers: int) -> list:
     """Evaluate fn(0..n-1), optionally on a thread pool; order is fixed by index."""
     if workers <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
@@ -279,9 +279,12 @@ def classify_growth(data) -> GrowthFit:
     L the Stirling gap between ln L! and L ln L is large: data that is
     literally ln L! would otherwise be scored as sub-factorial with a badly
     biased constant.  Among c * L ln L fits, c >= 0.9 is reported as
-    factorial and 0 < c < 0.9 as sub-factorial.
+    factorial and 0 < c < 0.9 as sub-factorial.  Every L must be a pattern
+    length (2..MAX_PATTERN_LENGTH).
     """
     pairs = _as_growth_pairs(data)
+    for L, _ in pairs:
+        check_length(L)
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 distinct lengths, got {len(pairs)}")
     ls = np.array([p[0] for p in pairs], dtype=np.float64)

@@ -75,8 +75,8 @@ def shannon(p) -> float:
 
 def renyi(p, alpha: float) -> float:
     """ln(sum p_i^alpha) / (1 - alpha); the Shannon entropy in the alpha -> 1 limit."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     q = probabilities_of(p)
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         return shannon(q)

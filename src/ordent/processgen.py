@@ -304,8 +304,10 @@ def _hermitian_half(t: int, rng: np.random.Generator) -> np.ndarray:
     z = np.empty(t + 1, dtype=np.complex128)
     z[0] = rng.standard_normal()
     z[t] = rng.standard_normal()
-    v = rng.standard_normal((t - 1, 2))
-    z[1:t] = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
+    # (re, im) pairs in draw order; scaling by 1/sqrt(2) keeps the bits of complex / sqrt(2)
+    pairs = z[1:t].view(np.float64)
+    rng.standard_normal(pairs.size, out=pairs)
+    pairs *= 1.0 / math.sqrt(2.0)
     return z
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,13 @@ class TestClassify:
         assert run("classify", "--input", str(data)) == 1
         assert f"{data}:{line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "-3", "1", "21"])
+    def test_length_outside_pattern_range_exit_1(self, tmp_path, capsys, length):
+        data = tmp_path / "growth.csv"
+        data.write_text(f"L,ln_allowed\n3,1.6\n4,2.9\n{length},0\n6,5.5\n")
+        assert run("classify", "--input", str(data)) == 1
+        assert f"{data}:4: length {length} outside 2..20" in capsys.readouterr().err
+
     def test_process_rows_are_the_census_counts(self, tmp_path):
         out = tmp_path / "fit.json"
         assert run("classify", "--process", "noisy-cubic", "--t", "8000", "--seed", "2",
@@ -355,6 +363,59 @@ class TestWorkerCap:
                        "--out", str(out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_threaded_entropy_grid_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        outputs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("ORDENT_THREADS", threads)
+            out = tmp_path / f"entropy-{threads}.csv"
+            assert run("entropy", "--process", "white-noise", "--process", "fbm:0.7",
+                       "--process", "noisy-cubic", "--alpha", "0,1,2", "--l-min", "3",
+                       "--l-max", "4", "--t", "3000", "-R", "2", "--seed", "5",
+                       "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_entropy_runs_one_pool_of_grid_jobs(self, monkeypatch):
+        """The (process, alpha) jobs share one pool; each runs its realizations inline."""
+        from ordent import complexity
+
+        calls = []
+        original = complexity._run_indexed
+
+        def recorded(fn, n, workers):
+            calls.append((n, workers))
+            return original(fn, n, workers)
+
+        monkeypatch.setattr(complexity, "_run_indexed", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("ORDENT_THREADS", "2")
+        assert run("entropy", "--process", "white-noise", "--process", "noisy-cubic",
+                   "--alpha", "0.5,1", "--l-min", "3", "--l-max", "4", "--t", "3000",
+                   "-R", "3", "--out", os.devnull) == 0
+        assert calls[0] == (4, 2)
+        assert sorted(calls[1:]) == [(3, 1)] * 4
+
+    def test_undersampled_warning_reaches_the_caller_from_worker_threads(self, monkeypatch):
+        from ordent import complexity
+
+        threads = []
+        original = complexity.entropy_rate
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(complexity, "entropy_rate", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("ORDENT_THREADS", "2")
+        with pytest.warns(UserWarning, match="undersampled"):
+            assert run("entropy", "--process", "white-noise", "--alpha", "0.5,1",
+                       "--l-min", "6", "--l-max", "6", "--t", "2000", "-R", "1",
+                       "--out", os.devnull) == 0
+        assert len(threads) == 2
+        assert all(t is not threading.main_thread() for t in threads)
 
 
 class TestEntryPoint:

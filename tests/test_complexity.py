@@ -129,6 +129,11 @@ class TestMetricEntropy:
         with pytest.raises(ValueError):
             metric_perm_entropy([0.5, 0.5], ComplexityClass.factorial(), 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            metric_perm_entropy([0.5, 0.5], ComplexityClass.factorial(), alpha)
+
 
 class TestTopologicalEntropy:
     def test_single_pattern_is_zero(self):
@@ -253,6 +258,16 @@ class TestEntropyRate:
                 t=1_000, realizations=1, seed=0, transient=-1,
             )
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha_before_any_generation(self, monkeypatch, alpha):
+        def no_generation(spec):
+            raise AssertionError("generated a series for a non-finite alpha")
+
+        monkeypatch.setattr("ordent.processgen.generate", no_generation)
+        with pytest.raises(ValueError, match="finite"):
+            entropy_rate(white_noise(1_000), ComplexityClass.factorial(), alpha, [3],
+                         t=1_000, realizations=2, seed=0, workers=2)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_scores_each_length_by_the_class_entropy_functions(self, alpha):
         """Z/L of every realization is the library's class entropy of that
@@ -301,6 +316,12 @@ class TestClassifyGrowth:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             classify_growth([(3, 1.0), (4, 2.0)])
+
+    @pytest.mark.parametrize("length", [0, -3, 1, 21])
+    def test_rejects_lengths_outside_the_pattern_range(self, length):
+        data = [(length, 0.0)] + [(L, math.lgamma(L + 1.0)) for L in range(3, 6)]
+        with pytest.raises(ValueError, match="pattern length"):
+            classify_growth(data)
 
     def test_growth_property(self):
         fit = classify_growth([(L, 0.5 * L * math.log(L)) for L in range(3, 8)])

@@ -85,6 +85,11 @@ class TestRenyi:
         with pytest.raises(ValueError):
             renyi([0.5, 0.5], -1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            renyi([0.5, 0.5], alpha)
+
 
 class TestTsallis:
     def test_degenerate(self):

@@ -286,6 +286,20 @@ class TestChirpTransform:
         for a, b in zip(got, want):
             assert np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("t", [2, 3, 1_000, 14_999, 59_999, 60_000])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_hermitian_half_keeps_the_bits_of_the_complex_expression(self, t, seed):
+        from ordent.processgen import _hermitian_half
+
+        rng = np.random.default_rng(seed)
+        want = np.empty(t + 1, dtype=np.complex128)
+        want[0] = rng.standard_normal()
+        want[t] = rng.standard_normal()
+        v = rng.standard_normal((t - 1, 2))
+        want[1:t] = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
+        got = _hermitian_half(t, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
     def test_plan_is_read_only(self):
         from ordent.processgen import _chirp_plan
 
