@@ -350,18 +350,23 @@ def cmd_entropy(args) -> int:
     _check_realizations(args.realizations)
     transient = _transient(args)
     grid = [(spec, alpha) for spec in specs for alpha in alphas]
+    # One level is pooled, so pools never nest. A grid with more cells than
+    # threads runs its cells as the jobs of one pool, each cell's realizations
+    # inline; a smaller grid would leave threads idle behind its slowest cell,
+    # so each cell pools its own realizations instead.
+    workers = _workers()
+    grid_workers, cell_workers = (workers, 1) if len(grid) > workers else (1, workers)
 
-    # one pool for the command: each (spec, alpha) job runs its realizations inline
     def job(i: int) -> complexity.RateEstimate:
         spec, alpha = grid[i]
         return complexity.entropy_rate(
             spec, growth, alpha, lengths, t=args.t,
             realizations=args.realizations, seed=args.seed,
-            transient=transient, workers=1,
+            transient=transient, workers=cell_workers,
         )
 
     rows = []
-    for (spec, alpha), estimate in zip(grid, complexity._run_indexed(job, len(grid), _workers())):
+    for (spec, alpha), estimate in zip(grid, complexity._run_indexed(job, len(grid), grid_workers)):
         label = _process_label(spec)
         for L, value in zip(estimate.lengths, estimate.values):
             rows.append((label, L, alpha, growth.label, float(value)))

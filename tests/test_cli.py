@@ -364,21 +364,30 @@ class TestWorkerCap:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_threaded_entropy_grid_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("grid", [
+        ("--process", "white-noise", "--process", "fbm:0.7", "--process", "noisy-cubic",
+         "--alpha", "0,1,2"),
+        ("--process", "fbm:0.7", "--alpha", "0,1"),
+    ], ids=["3x3", "1x2"])
+    def test_threaded_entropy_grid_matches_serial(self, tmp_path, monkeypatch, grid):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         outputs = []
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("ORDENT_THREADS", threads)
-            out = tmp_path / f"entropy-{threads}.csv"
-            assert run("entropy", "--process", "white-noise", "--process", "fbm:0.7",
-                       "--process", "noisy-cubic", "--alpha", "0,1,2", "--l-min", "3",
-                       "--l-max", "4", "--t", "3000", "-R", "2", "--seed", "5",
-                       "--out", str(out)) == 0
-            outputs.append(out.read_bytes())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads swap often, so shared caches see interleaved calls
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("ORDENT_THREADS", threads)
+                out = tmp_path / f"entropy-{threads}.csv"
+                assert run("entropy", *grid, "--l-min", "3", "--l-max", "4", "--t", "3000",
+                           "-R", "3", "--seed", "5", "--out", str(out)) == 0
+                outputs.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_entropy_runs_one_pool_of_grid_jobs(self, monkeypatch):
-        """The (process, alpha) jobs share one pool; each runs its realizations inline."""
+    @staticmethod
+    def _pool_calls(monkeypatch, *argv):
+        """(n, workers) of each _run_indexed call made by one command on 2 threads."""
         from ordent import complexity
 
         calls = []
@@ -391,11 +400,23 @@ class TestWorkerCap:
         monkeypatch.setattr(complexity, "_run_indexed", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("ORDENT_THREADS", "2")
-        assert run("entropy", "--process", "white-noise", "--process", "noisy-cubic",
-                   "--alpha", "0.5,1", "--l-min", "3", "--l-max", "4", "--t", "3000",
-                   "-R", "3", "--out", os.devnull) == 0
+        assert run(*argv, "--l-min", "3", "--l-max", "4", "--t", "3000", "-R", "3",
+                   "--out", os.devnull) == 0
+        return calls
+
+    def test_entropy_grid_larger_than_pool_runs_as_pool_jobs(self, monkeypatch):
+        """More cells than threads: the cells share one pool; each runs its realizations inline."""
+        calls = self._pool_calls(monkeypatch, "entropy", "--process", "white-noise",
+                                 "--process", "noisy-cubic", "--alpha", "0.5,1")
         assert calls[0] == (4, 2)
         assert sorted(calls[1:]) == [(3, 1)] * 4
+
+    @pytest.mark.parametrize("alphas", ["1", "0.5,1"])
+    def test_entropy_grid_within_pool_pools_each_cells_realizations(self, monkeypatch, alphas):
+        """No more cells than threads: the grid runs inline and each cell pools its realizations."""
+        calls = self._pool_calls(monkeypatch, "entropy", "--process", "fbm:0.7", "--alpha", alphas)
+        cells = len(alphas.split(","))
+        assert calls == [(cells, 1)] + [(3, 2)] * cells
 
     def test_undersampled_warning_reaches_the_caller_from_worker_threads(self, monkeypatch):
         from ordent import complexity
@@ -411,10 +432,10 @@ class TestWorkerCap:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("ORDENT_THREADS", "2")
         with pytest.warns(UserWarning, match="undersampled"):
-            assert run("entropy", "--process", "white-noise", "--alpha", "0.5,1",
+            assert run("entropy", "--process", "white-noise", "--alpha", "0.5,1,1.5",
                        "--l-min", "6", "--l-max", "6", "--t", "2000", "-R", "1",
                        "--out", os.devnull) == 0
-        assert len(threads) == 2
+        assert len(threads) == 3
         assert all(t is not threading.main_thread() for t in threads)
 
 
