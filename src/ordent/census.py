@@ -9,10 +9,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .patterns import (
+    MAX_PATTERN_LENGTH,
     PatternCode,
     _inverse_codes,
+    _lehmer_codes,
     _rank_code_blocks,
-    _relabel,
     as_samples,
     check_length,
     decode_pattern,
@@ -212,37 +213,27 @@ class TransitionMatrix:
 def transition_matrix(ts, length: int) -> TransitionMatrix:
     """Estimate one-step pattern transition probabilities from consecutive windows.
 
-    Pairs are counted by the rule of every census.  With at least (L!)^2
-    pairs, the pair codes ``r[k] * L! + r[k + 1]`` of consecutive rank codes
-    are tallied block by block into (L!)^2 bins (the last rank code of a block
-    pairs with the first of the next), and only the distinct rank codes become
-    pattern codes.  With fewer, the pattern codes are relabelled by their
-    ascending distinct values, whose pairs fit one int64 at any length, and
-    counted by ``np.unique``.
+    Windows k and k + 1 of L samples are the first and the last L samples of
+    window k of L + 1, whose pattern gives both of theirs: without the index
+    L it is the source, without the index 0 and shifted down by one the
+    target.  So the transitions are the census at L + 1, cut into (source,
+    target) pairs; L + 1 must be a pattern length, so L lies in 2..19.
     """
+    if not 2 <= length < MAX_PATTERN_LENGTH:
+        raise ValueError(f"transition length must lie in 2..{MAX_PATTERN_LENGTH - 1}, got {length}")
     x = as_samples(ts)
     if x.size < length + 1:
         raise ValueError(
             f"series of length {x.size} too short for transitions at window {length}"
         )
-    size = math.factorial(length)
-    if size**2 > x.size - length:
-        index = extract_patterns(x, length)
-        distinct = _relabel(index, size, lambda d: np.arange(d.size))
-        pairs, counts = _count(index[:-1] * distinct.size + index[1:], distinct.size**2)
-        src, dst = np.divmod(pairs, distinct.size)
-        return TransitionMatrix(length, _rows(distinct[src], distinct[dst], counts))
-    tally = _Tally(size**2, x.size - length)
-    carry = np.empty(0, dtype=np.int64)
-    for _, _, block in _rank_code_blocks(x, [length]):
-        ranks = np.concatenate((carry, block))  # int64, whatever the block's dtype
-        tally.add(ranks[:-1] * size + ranks[1:])
-        carry = ranks[-1:]
-    pairs, counts = tally.counted()
-    distinct, index = np.unique(np.concatenate(np.divmod(pairs, size)), return_inverse=True)
-    src, dst = np.split(_inverse_codes(distinct, length)[index], 2)
+    (joint,) = census_lengths(x, [length + 1])
+    perms = decode_pattern(joint.codes, length + 1)
+    src = _lehmer_codes(perms[perms != length].reshape(-1, length))
+    dst = _lehmer_codes(perms[perms != 0].reshape(-1, length) - 1)
     order = np.lexsort((dst, src))
-    return TransitionMatrix(length, _rows(src[order], dst[order], counts[order]))
+    src, dst, counts = src[order], dst[order], joint.counts[order]
+    first = np.flatnonzero((np.diff(src, prepend=-1) != 0) | (np.diff(dst, prepend=-1) != 0))
+    return TransitionMatrix(length, _rows(src[first], dst[first], np.add.reduceat(counts, first)))
 
 
 def _rows(src: np.ndarray, dst: np.ndarray, counts: np.ndarray) -> dict:

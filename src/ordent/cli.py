@@ -17,7 +17,8 @@ import numpy as np
 
 from . import complexity, logistic_exact, processgen, serialize
 from .census import census as run_census
-from .census import census_lengths, finite_pc_curve, forbidden_patterns, missing_code_blocks
+from .census import _MISSING_LENGTH_LIMIT, census_lengths, finite_pc_curve, forbidden_patterns
+from .census import missing_code_blocks
 from .patterns import MAX_PATTERN_LENGTH, decode_pattern
 
 
@@ -36,8 +37,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 
@@ -260,6 +261,8 @@ def cmd_census(args) -> int:
     if (args.input is None) == (args.process is None):
         raise UsageError("give exactly one of --input or --process")
     _check_length(args.length)
+    if args.report_missing and args.length > _MISSING_LENGTH_LIMIT:
+        raise UsageError(f"--report-missing needs length <= {_MISSING_LENGTH_LIMIT}, got {args.length}")
     if args.input is not None:
         samples = serialize.read_series(args.input)
         source = args.input
@@ -317,6 +320,8 @@ def cmd_pc_curve(args) -> int:
         except ValueError:
             raise UsageError(f"cannot parse t grid {args.t_grid!r}")
     else:
+        if args.grid_points < 1:
+            raise UsageError(f"grid points must be >= 1, got {args.grid_points}")
         grid = sorted(
             {
                 int(round(v))

@@ -144,6 +144,16 @@ def _lehmer_columns(codes: np.ndarray, length: int) -> list:
     return perm
 
 
+def _lehmer_codes(rows: np.ndarray) -> np.ndarray:
+    """Lehmer codes (int64) of the permutations in the rows of ``rows``."""
+    length = rows.shape[1]
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in range(length - 1):
+        smaller_after = (rows[:, i + 1 :] < rows[:, i : i + 1]).sum(axis=1)
+        codes += smaller_after * factorial(length - 1 - i)
+    return codes
+
+
 def _rank_code_blocks(x: np.ndarray, lengths: Sequence[int]):
     """Lehmer codes of the windows' rank vectors for every length in ``lengths``, block by block.
 
@@ -213,7 +223,9 @@ def extract_patterns(ts, length: int) -> np.ndarray:
 
     The windows are coded by their rank vectors (no sort), and only the
     distinct rank codes are turned into codes of the sorting permutation,
-    which is the inverse of the rank vector.
+    which is the inverse of the rank vector: through a table over all L!
+    codes when that costs no more than the codes themselves (gathered _CHUNK
+    codes at a time), through ``np.unique`` otherwise.
     """
     x = as_samples(ts)
     check_length(length)
@@ -222,27 +234,16 @@ def extract_patterns(ts, length: int) -> np.ndarray:
     codes = np.empty(x.size - length + 1, dtype=np.int64)
     for _, start, block in _rank_code_blocks(x, [length]):
         codes[start : start + block.size] = block
-    _relabel(codes, factorial(length), lambda distinct: _inverse_codes(distinct, length))
-    return codes
-
-
-def _relabel(codes: np.ndarray, size: int, image) -> np.ndarray:
-    """Replace each code in [0, size) by ``image(distinct)`` at its place among the
-    ascending distinct codes, in place; returns the distinct codes.
-
-    The distinct codes come from a table over all ``size`` codes when
-    ``size <= codes.size`` (it costs no more than the codes themselves, and
-    the gather runs _CHUNK codes at a time), from ``np.unique`` otherwise.
-    """
+    size = factorial(length)
     if size > codes.size:
         distinct, inverse = np.unique(codes, return_inverse=True)
-        codes[:] = image(distinct)[inverse]
-        return distinct
+        codes[:] = _inverse_codes(distinct, length)[inverse]
+        return codes
     seen = np.zeros(size, dtype=bool)
     seen[codes] = True
     distinct = np.flatnonzero(seen)
     table = np.empty(size, dtype=np.int64)
-    table[distinct] = image(distinct)
+    table[distinct] = _inverse_codes(distinct, length)
     for start in range(0, codes.size, _CHUNK):
         codes[start : start + _CHUNK] = table[codes[start : start + _CHUNK]]
-    return distinct
+    return codes

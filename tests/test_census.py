@@ -1,5 +1,6 @@
 """Pattern counting, transitions, and distinct-pattern growth curves."""
 
+import importlib
 import math
 from collections import Counter
 
@@ -342,24 +343,33 @@ class TestTransitionMatrix:
         x[rng.integers(0, x.size, 25)] += 0.5
         return x
 
-    @pytest.mark.parametrize("length", [2, 4, 7, 13])
+    @pytest.mark.parametrize("length", [2, 4, 7, 13, 19])
     def test_matches_brute_force(self, rng, length):
-        # 1187..1198 pairs: L = 2, 4 tally rank-code pairs in (L!)^2 bins; L = 7,
-        # 13 count compact-index pairs by np.unique (at L = 13, (L!)^2 exceeds
-        # the int64 range)
+        # 1181..1198 pairs, each a window of L + 1: L = 2, 4 count them into
+        # (L + 1)! bins by bincount; L = 7, 13, 19 by np.unique (L = 19 is the
+        # longest, 20! the last factorial in the int64 range)
         self.assert_brute_force_rows(self.flipped_tiles(rng), length)
+
+    def test_rejects_length_20_before_counting(self, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("counted windows for an unsupported length")
+
+        monkeypatch.setattr(importlib.import_module("ordent.census"), "census_lengths", no_census)
+        with pytest.raises(ValueError, match=r"2\.\.19, got 20"):
+            transition_matrix(np.arange(100.0), MAX_PATTERN_LENGTH)
 
     @pytest.mark.parametrize("chunk", [7, 16])
     @pytest.mark.parametrize("length", [2, 4, 7])
     def test_matches_brute_force_across_chunk_seams(self, rng, monkeypatch, chunk, length):
-        # the pair of each block's last and the next block's first window is
-        # counted once; L = 2 adds blocks by bincount, L = 4 by np.add.at over
-        # 576 bins of int8 rank codes whose pair codes pass the int8 range
+        # the window of L + 1 that pairs each block's last window of L with the
+        # next block's first is counted once; L = 2 adds blocks into 3! bins by
+        # bincount, L = 4 into 5! bins by np.add.at, L = 7 counts by np.unique
         monkeypatch.setattr(patterns, "_CHUNK", chunk)
         self.assert_brute_force_rows(self.flipped_tiles(rng), length)
 
     def test_bincount_side_at_the_widest_int8_codes(self, rng, monkeypatch):
-        # L = 5 codes fill int8 up to 119; 20000 pairs reach the 120^2 bins
+        # the census at L + 1 = 6 adds 1000-window blocks of int16 codes into
+        # its 720 bins by bincount
         monkeypatch.setattr(patterns, "_CHUNK", 1000)
         self.assert_brute_force_rows(rng.integers(0, 6, 20_000).astype(float), 5)
 

@@ -153,6 +153,17 @@ class TestCensus:
         assert run("census", "--input", "x.csv", "--process", "white-noise",
                    "--length", "3") == 2
 
+    @pytest.mark.parametrize("source", [["--process", "white-noise", "--t", "3000000"],
+                                        ["--input", "series.csv"]], ids=["process", "input"])
+    def test_report_missing_above_limit_exit_2_before_any_work(self, capsys, monkeypatch, source):
+        def no_work(*args, **kwargs):
+            raise AssertionError("read or generated a series for a length --report-missing refuses")
+
+        monkeypatch.setattr("ordent.processgen.generate", no_work)
+        monkeypatch.setattr("ordent.serialize.read_series", no_work)
+        assert run("census", *source, "--length", "11", "--report-missing") == 2
+        assert "usage error: --report-missing needs length <= 10, got 11" in capsys.readouterr().err
+
 
 class TestPcCurve:
     def test_white_noise_saturation(self, tmp_path):
@@ -175,6 +186,12 @@ class TestPcCurve:
         labels = {l.split(",")[0] for l in out.read_text().splitlines()
                   if l and not l.startswith("#") and not l.startswith("process")}
         assert labels == {"white-noise", "fgn:0.75"}
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_grid_points_below_1_exit_2(self, capsys, points):
+        assert run("pc-curve", "--process", "white-noise", "--length", "3",
+                   "--grid-points", points) == 2
+        assert f"usage error: grid points must be >= 1, got {points}" in capsys.readouterr().err
 
 
 class TestEntropyAndRate:
@@ -451,6 +468,28 @@ class TestEntryPoint:
     def test_argparse_usage_error_exit_2(self):
         result = run_module("census")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+        ("", "MemoryError"),  # Python's own allocation failures carry no message
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_a_one_line_error_exit_1(self, capsys, monkeypatch, message, line):
+        def out_of_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("ordent.processgen.generate", out_of_memory)
+        assert run("pc-curve", "--process", "white-noise", "--length", "3",
+                   "--t-max", "100000000000", "--grid-points", "2", "-R", "1") == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # the pool is imported where it runs (complexity._run_indexed), so that
+        # `import ordent` stays cheap for short commands
+        src = str(Path(ordent.__file__).resolve().parents[1])
+        code = "import sys, ordent; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout == "False\n", result.stderr
 
 
 @pytest.mark.parametrize("argv, sha256", [
