@@ -12,6 +12,7 @@ from .patterns import (
     MAX_PATTERN_LENGTH,
     PatternCode,
     _inverse_codes,
+    _inverse_table,
     _lehmer_codes,
     _rank_code_blocks,
     as_samples,
@@ -89,18 +90,19 @@ def _count(codes: np.ndarray, size: int) -> tuple:
 
 
 class _Tally:
-    """Counts of ``n`` codes in [0, size) that arrive block by block.
+    """Counts of the ``n`` rank codes of one length that arrive block by block.
 
-    When ``size <= n`` each block is added into ``size`` bins and no codes
-    are kept: by ``np.bincount`` when the block holds at least ``size``
-    codes, by ``np.add.at`` otherwise, so a block costs O(block) whatever
-    ``size`` is.  When ``size > n`` the blocks are kept (copied, since the
-    producer reuses its buffer) and counted once by ``_count``.
+    When ``L! <= n`` each block is added into L! bins and no codes are
+    kept: by ``np.bincount`` when the block holds at least L! codes, by
+    ``np.add.at`` otherwise, so a block costs O(block) whatever L! is.
+    When ``L! > n`` the blocks are kept (copied, since the producer reuses
+    its buffer) and counted once by ``_count``.
     """
 
-    def __init__(self, size: int, n: int):
-        self.size = size
-        self.bins = np.zeros(size, dtype=np.int64) if size <= n else None
+    def __init__(self, length: int, n: int):
+        self.length = length
+        self.size = math.factorial(length)
+        self.bins = np.zeros(self.size, dtype=np.int64) if self.size <= n else None
         self.kept = []
 
     def add(self, codes: np.ndarray) -> None:
@@ -111,12 +113,21 @@ class _Tally:
         else:
             np.add.at(self.bins, codes, 1)
 
-    def counted(self) -> tuple:
+    def distribution(self) -> PatternDistribution:
+        """The census: the bins read in pattern-code order through the cached
+        involution ``_inverse_table``, or the distinct kept rank codes inverted
+        by ``_inverse_codes`` and sorted."""
         if self.bins is None:
-            codes = self.kept[0] if len(self.kept) == 1 else np.concatenate(self.kept)
-            return _count(codes, self.size)
-        distinct = np.flatnonzero(self.bins)
-        return distinct, self.bins[distinct]
+            ranks = self.kept[0] if len(self.kept) == 1 else np.concatenate(self.kept)
+            distinct, counts = _count(ranks, self.size)
+            codes = _inverse_codes(distinct, self.length)
+            order = np.argsort(codes)
+            codes, counts = codes[order], counts[order]
+        else:
+            by_pattern = self.bins[_inverse_table(self.length)]
+            codes = np.flatnonzero(by_pattern)
+            counts = by_pattern[codes]
+        return PatternDistribution(length=self.length, codes=codes, counts=counts)
 
 
 def _as_code(pattern, length: int) -> PatternCode:
@@ -143,9 +154,10 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     the running lag sums of the longest one (``patterns._rank_code_blocks``).
     Each length counts its rank codes by the rule of every census (into L!
     bins, block by block, when L! is at most the window count, so no codes
-    are kept; ``np.unique`` otherwise; see ``_Tally``) and turns only the
-    distinct ones into pattern codes.  A repeated length is counted once and
-    its distribution shared.
+    are kept; ``np.unique`` otherwise; see ``_Tally``) and turns them into
+    pattern codes: the bins through the cached table of all L! codes, on the
+    ``np.unique`` side only the distinct codes.  A repeated length is
+    counted once and its distribution shared.
     """
     x = as_samples(ts)
     lengths = [int(length) for length in lengths]
@@ -156,15 +168,10 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     wanted = sorted(set(lengths))
     if x.size < wanted[-1]:
         raise ValueError(f"series of length {x.size} too short for windows of {wanted[-1]}")
-    tallies = [_Tally(math.factorial(length), x.size - length + 1) for length in wanted]
+    tallies = [_Tally(length, x.size - length + 1) for length in wanted]
     for i, _, ranks in _rank_code_blocks(x, wanted):
         tallies[i].add(ranks)
-    dists = {}
-    for length, tally in zip(wanted, tallies):
-        distinct, counts = tally.counted()
-        codes = _inverse_codes(distinct, length)
-        order = np.argsort(codes)
-        dists[length] = PatternDistribution(length=length, codes=codes[order], counts=counts[order])
+    dists = {length: tally.distribution() for length, tally in zip(wanted, tallies)}
     return [dists[length] for length in lengths]
 
 

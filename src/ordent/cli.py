@@ -17,8 +17,7 @@ import numpy as np
 
 from . import complexity, logistic_exact, processgen, serialize
 from .census import census as run_census
-from .census import _MISSING_LENGTH_LIMIT, census_lengths, finite_pc_curve, forbidden_patterns
-from .census import missing_code_blocks
+from .census import _MISSING_LENGTH_LIMIT, census_lengths, finite_pc_curve, missing_code_blocks
 from .patterns import MAX_PATTERN_LENGTH, decode_pattern
 
 
@@ -292,11 +291,11 @@ def cmd_census(args) -> int:
             ],
         }
         if args.report_missing:
-            missing = forbidden_patterns(dist)
-            payload["missing"] = [
-                {"code": c, "ranks": r}
-                for c, r in zip(missing.tolist(), decode_pattern(missing, args.length).tolist())
-            ]
+            payload["missing"] = (
+                [{"code": c, "ranks": r}
+                 for c, r in zip(codes.tolist(), decode_pattern(codes, args.length).tolist())]
+                for codes in missing_code_blocks(dist, serialize._BLOCK)
+            )
             payload["caveat"] = caveat
         serialize.write_json(args.out, payload)
     else:

@@ -9,6 +9,7 @@ series can be counted with plain array machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -215,35 +216,74 @@ def _inverse_codes(codes: np.ndarray, length: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
+@functools.cache
+def _inverse_table(length: int) -> np.ndarray:
+    """The pattern code of every rank code in [0, L!), read-only, in the
+    narrowest signed dtype that holds L! - 1.
+
+    A permutation and its inverse swap roles, so the table is an involution
+    (``t[t] == arange(L!)``) and maps pattern codes back to rank codes too.
+    Built on first use, once per length and process.
+
+    Built level by level rather than by inverting all L! codes: the first
+    entry d of a rank vector r is its first Lehmer digit, so its code is
+    d * (L-1)! plus the code of r[1:], and the Lehmer digits of r's sorting
+    permutation are those of r[1:]'s with a 0 inserted at position d and 1
+    added to every digit left of it.
+    """
+    check_length(length)
+    code_type = np.min_scalar_type(-factorial(length))
+    # the inverses' Lehmer digits at one length, a row per position and a
+    # column per rank code, starting from the one permutation of length 1
+    digits = np.zeros((1, 1), dtype=np.int8)
+    for n in range(1, length - 1):
+        size = factorial(n)
+        grown = np.empty((n + 1, (n + 1) * size), dtype=np.int8)
+        for d in range(n + 1):
+            block = grown[:, d * size : (d + 1) * size]
+            np.add(digits[:d], 1, out=block[:d])
+            block[d] = 0
+            block[d + 1 :] = digits[d:]
+        digits = grown
+    # the last level emits codes: inserting at d + 1 instead of d moves digit d
+    # one place left, from weight (n-1-d)! to (n-d)!, and adds 1 to it
+    n = length - 1
+    size = factorial(n)
+    code = np.zeros(size, dtype=code_type)
+    for i in range(n):
+        code += digits[i].astype(code_type) * factorial(n - 1 - i)
+    table = np.empty(length * size, dtype=code_type)
+    for d in range(length):
+        table[d * size : (d + 1) * size] = code
+        if d < n:
+            code += digits[d].astype(code_type) * (factorial(n - d) - factorial(n - 1 - d))
+            code += factorial(n - d)
+    table.flags.writeable = False
+    return table
+
+
 def extract_patterns(ts, length: int) -> np.ndarray:
     """Codes of all sliding windows of ``length`` samples.
 
     Returns an int64 array of T - L + 1 pattern codes, where entry k encodes
     the window starting at sample k.
 
-    The windows are coded by their rank vectors (no sort), and only the
-    distinct rank codes are turned into codes of the sorting permutation,
-    which is the inverse of the rank vector: through a table over all L!
-    codes when that costs no more than the codes themselves (gathered _CHUNK
-    codes at a time), through ``np.unique`` otherwise.
+    The windows are coded by their rank vectors (no sort), and the rank
+    codes are turned into codes of the sorting permutation, which is the
+    inverse of the rank vector: through the cached table over all L! codes
+    (``_inverse_table``) when L! is at most the window count, so the table
+    costs no more than the codes themselves; otherwise only the distinct
+    rank codes are inverted, found by ``np.unique``.
     """
     x = as_samples(ts)
     check_length(length)
     if x.size < length:
         raise ValueError(f"series of length {x.size} too short for windows of {length}")
     codes = np.empty(x.size - length + 1, dtype=np.int64)
+    table = _inverse_table(length) if factorial(length) <= codes.size else None
     for _, start, block in _rank_code_blocks(x, [length]):
-        codes[start : start + block.size] = block
-    size = factorial(length)
-    if size > codes.size:
+        codes[start : start + block.size] = block if table is None else table[block]
+    if table is None:
         distinct, inverse = np.unique(codes, return_inverse=True)
         codes[:] = _inverse_codes(distinct, length)[inverse]
-        return codes
-    seen = np.zeros(size, dtype=bool)
-    seen[codes] = True
-    distinct = np.flatnonzero(seen)
-    table = np.empty(size, dtype=np.int64)
-    table[distinct] = _inverse_codes(distinct, length)
-    for start in range(0, codes.size, _CHUNK):
-        codes[start : start + _CHUNK] = table[codes[start : start + _CHUNK]]
     return codes

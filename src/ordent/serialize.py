@@ -199,9 +199,39 @@ def _write_blocks(path_or_fh, head: Iterable[str], cols: list) -> None:
 
 
 def write_json(path_or_fh, payload: dict) -> None:
+    """``payload`` after a ``schema_version`` key, as ``json.dumps(..., indent=2)`` prints it.
+
+    A value that is an iterator of lists is written as one JSON array, one
+    list at a time, so the whole array is never held; the bytes are those
+    of the joined list.
+    """
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
-    _write_text(path_or_fh, json.dumps(body, indent=2, default=_jsonify) + "\n")
+    with _destination(path_or_fh) as fh:
+        sep = "{\n  "
+        for key, value in body.items():
+            fh.write(sep + json.dumps(key) + ": ")
+            sep = ",\n  "
+            if isinstance(value, Iterator):
+                _write_json_array(fh, value)
+            else:
+                fh.write(_nested_json(value))
+        fh.write("\n}\n")
+
+
+def _nested_json(value) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` prints it one level down."""
+    return json.dumps(value, indent=2, default=_jsonify).replace("\n", "\n  ")
+
+
+def _write_json_array(fh, blocks: Iterator) -> None:
+    """The lists of ``blocks`` as one JSON array one level down, list by list."""
+    sep = "["
+    for items in blocks:
+        if items:
+            fh.write(sep + _nested_json(items)[1:-len("\n  ]")])  # the items, indented
+            sep = ","
+    fh.write("[]" if sep == "[" else "\n  ]")
 
 
 def _jsonify(obj):

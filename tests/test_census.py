@@ -172,6 +172,26 @@ class TestCensusLengths:
         for length, dist in zip(lengths, dists):
             assert census_pairs(dist) == census_pairs(census(x, length))
 
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    @pytest.mark.parametrize("below", [0, 1], ids=["L!-windows", "L!-1-windows"])
+    def test_regime_boundary(self, rng, monkeypatch, length, below):
+        # L! windows count into bins read through the inverse table; L! - 1
+        # windows go through np.unique and invert only the distinct codes
+        calls = []
+        inverse_codes = patterns._inverse_codes
+        for module in (patterns, importlib.import_module("ordent.census")):
+            monkeypatch.setattr(module, "_inverse_codes",
+                                lambda codes, n: calls.append(n) or inverse_codes(codes, n))
+        windows = math.factorial(length) - below
+        for x in (rng.standard_normal(windows + length - 1),
+                  rng.integers(0, 3, windows + length - 1).astype(float)):
+            expected = brute_force_census(x, length)
+            assert census_pairs(census(x, length)) == expected
+            (dist,) = census_lengths(x, [length])
+            assert census_pairs(dist) == expected
+            assert dist.total == windows
+        assert calls == [length] * 4 * below  # census and census_lengths, per series
+
     @pytest.mark.parametrize("length", [3, 8])
     def test_both_count_branches_on_long_series(self, rng, length):
         # 5000 windows: L = 3 counts by bincount over 3!, L = 8 by np.unique over 8!

@@ -22,12 +22,12 @@ def run(*args):
     return main(list(args))
 
 
-def run_module(*args):
-    """``python -m ordent.cli`` in a child process that imports the ordent under test."""
+def run_module(*args, module="ordent.cli"):
+    """``python -m <module>`` in a child process that imports the ordent under test."""
     src = str(Path(ordent.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "ordent.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -468,6 +468,17 @@ class TestEntryPoint:
     def test_argparse_usage_error_exit_2(self):
         result = run_module("census")
         assert result.returncode == 2
+
+    def test_package_runs_as_module(self, capsys):
+        result = run_module("oracle", "--length", "3", module="ordent")
+        assert result.returncode == 0
+        assert run("oracle", "--length", "3") == 0
+        assert result.stdout == capsys.readouterr().out
+
+    def test_package_usage_error_exit_2(self):
+        result = run_module("census", module="ordent")
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,45 @@ class TestExtractPatterns:
     def test_accepts_timeseries(self):
         ts = TimeSeries(samples=np.arange(5.0))
         assert extract_patterns(ts, 2).shape == (4,)
+
+
+class TestInverseTable:
+    @pytest.mark.parametrize("length", range(2, 10))
+    def test_equals_inverse_of_every_code(self, length):
+        size = math.factorial(length)
+        table = patterns._inverse_table(length)
+        assert table.tolist() == patterns._inverse_codes(np.arange(size), length).tolist()
+        assert (table[table] == np.arange(size)).all()
+        assert not table.flags.writeable
+        assert table.dtype == np.min_scalar_type(-size)
+
+    def test_cached_per_length(self):
+        assert patterns._inverse_table(6) is patterns._inverse_table(6)
+
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    @pytest.mark.parametrize("below", [0, 1], ids=["L!-windows", "L!-1-windows"])
+    def test_regime_boundary(self, rng, monkeypatch, length, below):
+        # L! windows gather through the table, L! - 1 invert np.unique's distinct codes
+        calls = []
+        inverse_codes = patterns._inverse_codes
+        monkeypatch.setattr(patterns, "_inverse_codes",
+                            lambda codes, n: calls.append(n) or inverse_codes(codes, n))
+        windows = math.factorial(length) - below
+        for x in (rng.standard_normal(windows + length - 1),
+                  rng.integers(0, 3, windows + length - 1).astype(float)):
+            codes = extract_patterns(x, length)
+            assert codes.size == windows
+            assert codes.tolist() == brute_force_codes(x, length)
+        assert calls == [length] * 2 * below
+
+    def test_import_builds_no_table(self):
+        code = ("import ordent, ordent.patterns as p; "
+                "print(p._inverse_table.cache_info().currsize)")
+        src = str(Path(patterns.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert result.stdout == "0\n"
 
 
 class TestTimeSeries:

@@ -1,6 +1,7 @@
 """Table and series writers: bytes against a per-value reference, block edges, one open."""
 
 import io
+import json
 import math
 from unittest import mock
 
@@ -171,3 +172,38 @@ def test_census_out_file_equals_stdout(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text() == stdout
     assert stdout.count("\n") > 3 * 1000
+
+
+def reference_json(payload):
+    """The document ``write_json`` stands for, materialized and dumped at once."""
+    body = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(body, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("blocks", [
+    [], [[]], [[], []], [[1]], [[{"a": [1, 2]}], [], [{"b": 2.5}, "c"]], [[1, 2, 3], [4], []],
+])
+def test_json_array_from_blocks(blocks):
+    buf = io.StringIO()
+    serialize.write_json(buf, {"meta": {"L": 3}, "rows": iter(blocks), "after": [[], {}]})
+    joined = [item for block in blocks for item in block]
+    assert buf.getvalue() == reference_json({"meta": {"L": 3}, "rows": joined, "after": [[], {}]})
+
+
+@pytest.mark.parametrize("block", [3, 1 << 14])
+@pytest.mark.parametrize("process, t, length", [
+    ("logistic", 5000, 5),  # missing patterns, across many blocks of 3 codes
+    ("white-noise", 2000, 3),  # none missing: an empty list
+])
+def test_census_missing_json_streams(capsys, monkeypatch, block, process, t, length):
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    assert main(["census", "--process", process, "--t", str(t), "--length", str(length),
+                 "--report-missing", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    document = json.loads(text)
+    seen = {p["code"] for p in document["patterns"]}
+    missing = [c for c in range(math.factorial(length)) if c not in seen]
+    assert [m["code"] for m in document["missing"]] == missing
+    assert [m["ranks"] for m in document["missing"]] == [list(decode_pattern(c, length)) for c in missing]
+    assert (process == "logistic") == bool(missing)
+    assert text == reference_json({k: v for k, v in document.items() if k != "schema_version"})
