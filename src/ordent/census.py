@@ -234,13 +234,20 @@ def transition_matrix(ts, length: int) -> TransitionMatrix:
             f"series of length {x.size} too short for transitions at window {length}"
         )
     (joint,) = census_lengths(x, [length + 1])
-    perms = decode_pattern(joint.codes, length + 1)
+    return TransitionMatrix(length, _transition_rows(joint.codes, joint.counts, length))
+
+
+def _transition_rows(codes: np.ndarray, weights: np.ndarray, length: int) -> dict:
+    """``{source: {target: probability}}`` of the length + 1 patterns ``codes``,
+    seen with ``weights`` (counts or probabilities), each cut into its
+    (source, target) pair as ``transition_matrix`` describes."""
+    perms = decode_pattern(codes, length + 1)
     src = _lehmer_codes(perms[perms != length].reshape(-1, length))
     dst = _lehmer_codes(perms[perms != 0].reshape(-1, length) - 1)
     order = np.lexsort((dst, src))
-    src, dst, counts = src[order], dst[order], joint.counts[order]
+    src, dst, weights = src[order], dst[order], weights[order]
     first = np.flatnonzero((np.diff(src, prepend=-1) != 0) | (np.diff(dst, prepend=-1) != 0))
-    return TransitionMatrix(length, _rows(src[first], dst[first], np.add.reduceat(counts, first)))
+    return _rows(src[first], dst[first], np.add.reduceat(weights, first))
 
 
 def _rows(src: np.ndarray, dst: np.ndarray, counts: np.ndarray) -> dict:

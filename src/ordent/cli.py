@@ -431,8 +431,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 2 <= args.length <= 5:
-        raise UsageError(f"oracle supports lengths 2..5, got {args.length}")
+    longest = logistic_exact.MAX_LENGTH  # transitions are cut from the law one length up
+    if args.what != "cells":
+        longest -= 1
+    if not 2 <= args.length <= longest:
+        raise UsageError(f"oracle --what {args.what} supports lengths 2..{longest}, got {args.length}")
     payload: dict = {"L": args.length}
     if args.what in ("cells", "both"):
         cells = logistic_exact.ordinal_cells(args.length)
@@ -446,8 +449,6 @@ def cmd_oracle(args) -> int:
         ]
         payload["boundaries"] = cells.boundaries()
     if args.what in ("transitions", "both"):
-        if args.length > 4:
-            raise UsageError("exact transitions support lengths 2..4")
         matrix = logistic_exact.exact_transition_probs(args.length)
         payload["transitions"] = [
             {

@@ -1,11 +1,14 @@
 """Closed-form ordinal analysis of the full-range logistic map x -> 4x(1-x).
 
-The stationary density of the full-range map is the arcsine law with CDF
-F(x) = (2/pi) arcsin(sqrt(x)).  Order-L pattern cells are located by
-bracketing the crossings of the iterates x, f(x), ..., f^(L-1)(x) and
-labeling each gap by the pattern of a midpoint orbit; pattern and
-transition probabilities then follow from interval arithmetic under F and
-the two explicit preimage branches of f.
+The increasing change of variable x = sin^2(pi y / 2) carries the full tent
+map T(y) = 1 - |1 - 2y| to the logistic map and the arcsine law, with CDF
+F(x) = (2/pi) arcsin(sqrt(x)), to Lebesgue measure in y.  Logistic
+patterns are therefore exactly tent patterns, ties included.  On each
+dyadic piece [k, k+1] / 2^(L-1) every iterate T^0 .. T^(L-1) is affine with
+integer coefficients, so a pattern changes only where two of these lines
+cross; the crossings are rationals at which the tie rule is applied in
+exact integer arithmetic.  Cells, pattern probabilities and transitions
+all follow from that one piecewise-affine law (``_tent_law``).
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .census import TransitionMatrix
-from .patterns import OrdinalPattern, encode_pattern, pattern_of
+from .census import TransitionMatrix, _transition_rows
+from .patterns import OrdinalPattern, _lehmer_codes, decode_pattern
 
-_GRID_POINTS = 10_001
-_ROOT_TOL = 1e-14
-_MERGE_TOL = 5e-12
+# the longest pattern length of the exact law: cells up to it, transitions
+# (cut from the law one length up) up to one less; every value the law
+# compares stays far inside int64 there
+MAX_LENGTH = 14
 
 Interval = Tuple[float, float]
 
@@ -51,18 +55,61 @@ def measure_of(intervals: Sequence[Interval]) -> float:
     return total
 
 
-def _orbit(x: float, length: int) -> np.ndarray:
-    out = np.empty(length)
-    v = x
-    out[0] = v
+def _tent_law(length: int):
+    """The order-``length`` patterns of the tent map on [0, 1], exactly.
+
+    On piece k the iterate T^i is ``2^(L-1) T^i(y) = s_i Z + v_i`` with
+    ``Z = 2^(L-1) y - k`` in [0, 1], slope ``s_i = +-2^i`` and left value
+    ``v_i`` integers.  Lines i, j cross at ``Z = p / d`` with
+    ``p = v_j - v_i`` and ``d = s_i - s_j``; every point used here is such a
+    ratio of integers, and ``d`` times a line's value there is an integer.
+
+    Returns ``(y, at, codes)``: the breakpoints (piece ends and crossings)
+    ascending from 0.0 to 1.0, the tie-rule pattern code at each of them,
+    and the code of each open segment between consecutive breakpoints,
+    which is that of its midpoint.  Segment widths in y are the
+    probabilities.
+    """
+    pieces = 1 << (length - 1)
+    s = np.empty((length, pieces), dtype=np.int64)
+    v = np.empty((length, pieces), dtype=np.int64)
+    s[0], v[0] = 1, np.arange(pieces)
     for i in range(1, length):
-        v = 4.0 * v * (1.0 - v)
-        out[i] = v
-    return out
+        # T^(i-1) maps the piece into one half of [0, 1]: the one its midpoint is in
+        low = 2 * v[i - 1] + s[i - 1] < pieces
+        s[i] = np.where(low, 2 * s[i - 1], -2 * s[i - 1])
+        v[i] = np.where(low, 2 * v[i - 1], 2 * pieces - 2 * v[i - 1])
+
+    first, second = np.triu_indices(length, 1)
+    d = s[first] - s[second]
+    p = (v[second] - v[first]) * np.sign(d)
+    d = np.abs(d)
+    inside = (0 < p) & (p < d)
+    # every piece's left end, the right end of the last one, then the crossings
+    piece = np.concatenate((np.arange(pieces), [pieces - 1], np.nonzero(inside)[1]))
+    num = np.concatenate((np.zeros(pieces, np.int64), [1], p[inside]))
+    den = np.concatenate((np.ones(pieces, np.int64), [1], d[inside]))
+    # one correctly rounded division: equal ratios give equal floats, distinct
+    # ones (at least 2^-41 apart at L = 14) keep their order
+    y, keep = np.unique((piece * den + num) / (den * pieces), return_index=True)
+    piece, num, den = piece[keep], num[keep], den[keep]
+
+    def codes_at(k, n, m):
+        values = (s[:, k] * n + v[:, k] * m).T  # m times the iterates at Z = n / m of piece k
+        return _lehmer_codes(np.argsort(values, axis=1, kind="stable").astype(np.int8))
+
+    # a segment lies in its left end's piece, which its right end closes or shares
+    right = (piece[1:] - piece[:-1]) * den[1:] + num[1:]
+    mid_num = num[:-1] * den[1:] + right * den[:-1]
+    mid_den = 2 * den[:-1] * den[1:]
+    return y, codes_at(piece, num, den), codes_at(piece[:-1], mid_num, mid_den)
 
 
-def _orbit_pattern(x: float, length: int) -> OrdinalPattern:
-    return pattern_of(_orbit(x, length))
+def _law(length: int):
+    """The codes of positive probability, ascending, and their probabilities."""
+    y, _, codes = _tent_law(length)
+    distinct, which = np.unique(codes, return_inverse=True)
+    return distinct, np.bincount(which, weights=np.diff(y))
 
 
 @dataclass
@@ -100,98 +147,35 @@ class OrdinalCellSet:
 
 
 def ordinal_cells(length: int) -> OrdinalCellSet:
-    """Locate the order-``length`` pattern cells (supported for length 2..5)."""
-    if not 2 <= length <= 5:
-        raise ValueError(f"cell construction supported for lengths 2..5, got {length}")
+    """The order-``length`` pattern cells (lengths 2..MAX_LENGTH), from the tent law."""
+    if not 2 <= length <= MAX_LENGTH:
+        raise ValueError(f"cell construction supported for lengths 2..{MAX_LENGTH}, got {length}")
+    y, at, codes = _tent_law(length)
+    # merge equal neighboring segments: keep the ends and the breakpoints between cells
+    ends = np.flatnonzero(np.diff(codes)) + 1
+    ends = np.concatenate(([0], ends, [y.size - 1]))
+    x = np.sin(0.5 * math.pi * y[ends]) ** 2
+    x[0], x[-1] = 0.0, 1.0
+    x = x.tolist()
+    merged = codes[ends[:-1]]
+    owner = at[ends]
+    isolated = (owner != np.append(merged, -1)) & (owner != np.insert(merged, 0, -1))
+    patterns = [tuple(r) for r in decode_pattern(np.append(merged, owner), length).tolist()]
 
-    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    iterates = np.empty((length, grid.size))
-    iterates[0] = grid
-    for i in range(1, length):
-        iterates[i] = logistic_map(iterates[i - 1])
-
-    roots = {0.0, 1.0}
-    for i in range(length):
-        for j in range(i + 1, length):
-            diff = iterates[i] - iterates[j]
-            roots.update(_bracketed_roots(diff, grid, i, j, length))
-
-    points = _merge_close(sorted(roots))
-
-    # label each gap by the pattern at its midpoint, then merge equal neighbors
-    segments: List[Tuple[float, float, OrdinalPattern]] = []
-    for a, b in zip(points[:-1], points[1:]):
-        pat = _orbit_pattern(0.5 * (a + b), length)
-        if segments and segments[-1][2] == pat:
-            prev_a, _, _ = segments.pop()
-            segments.append((prev_a, b, pat))
-        else:
-            segments.append((a, b, pat))
-
-    boundary_owner: Dict[float, OrdinalPattern] = {}
     cell_map: Dict[OrdinalPattern, List[Interval]] = {}
-    for a, b, pat in segments:
+    for pat, a, b in zip(patterns, x[:-1], x[1:]):
         cell_map.setdefault(pat, []).append((a, b))
-
-    breakpoints = [seg[0] for seg in segments] + [segments[-1][1]]
-    for x in breakpoints:
-        pat = _orbit_pattern(x, length)
-        boundary_owner[x] = pat
-        if pat not in cell_map or not _touches(cell_map[pat], x):
-            # isolated point: its tie-rule pattern matches no adjacent cell
-            cell_map.setdefault(pat, []).append((x, x))
+    owners = patterns[merged.size:]
+    for pat, point, alone in zip(owners, x, isolated.tolist()):
+        if alone:  # a tie point whose pattern matches neither neighboring cell
+            cell_map.setdefault(pat, []).append((point, point))
 
     cells = sorted(cell_map.items(), key=lambda kv: kv[1][0][0])
     return OrdinalCellSet(
         length=length,
         cells=[(pat, sorted(iv)) for pat, iv in cells],
-        boundary_owner=boundary_owner,
+        boundary_owner=dict(zip(x, owners)),
     )
-
-
-def _touches(intervals: List[Interval], x: float) -> bool:
-    return any(a - 1e-12 <= x <= b + 1e-12 for a, b in intervals)
-
-
-def _bracketed_roots(diff, grid, i, j, length) -> List[float]:
-    """Roots of f^i(x) - f^j(x) via grid sign changes refined by bisection."""
-
-    def h(x: float) -> float:
-        orbit = _orbit(x, length)
-        return orbit[i] - orbit[j]
-
-    roots = []
-    sign = np.sign(diff)
-    for k in np.flatnonzero(sign == 0.0):
-        roots.append(float(grid[k]))
-    changes = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    for k in changes:
-        a, b = float(grid[k]), float(grid[k + 1])
-        fa = h(a)
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = h(m)
-            if fm == 0.0 or (b - a) < _ROOT_TOL:
-                a = b = m
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
-    return roots
-
-
-def _merge_close(points: List[float]) -> List[float]:
-    merged = [points[0]]
-    for p in points[1:]:
-        if p - merged[-1] <= _MERGE_TOL:
-            # keep exact endpoints 0/1 over near-duplicates
-            if p in (0.0, 1.0):
-                merged[-1] = p
-        else:
-            merged.append(p)
-    return merged
 
 
 def _preimage(interval: Interval) -> List[Interval]:
@@ -204,12 +188,6 @@ def _preimage(interval: Interval) -> List[Interval]:
     left = ((1.0 - sc) / 2.0, (1.0 - sd) / 2.0)
     right = ((1.0 + sd) / 2.0, (1.0 + sc) / 2.0)
     return [left, right]
-
-
-def _intersect(a: Interval, b: Interval) -> Interval | None:
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    return (lo, hi) if hi > lo else None
 
 
 def preimage_intervals(intervals: Sequence[Interval]) -> List[Interval]:
@@ -225,27 +203,12 @@ def preimage_intervals(intervals: Sequence[Interval]) -> List[Interval]:
 def exact_transition_probs(length: int) -> TransitionMatrix:
     """Pattern-to-pattern transition probabilities under the arcsine measure.
 
-    Row r is mu(P_r intersect f^-1 P_r') / mu(P_r) over all target cells;
-    rows sum to 1 because the measure is invariant under the map.
+    Row r is mu(P_r intersect f^-1 P_r') / mu(P_r): the law one length up cut
+    into (source, target) pairs, exactly as ``transition_matrix`` cuts a
+    census; only transitions of positive probability appear, and rows sum
+    to 1 because the measure is invariant under the map.
     """
-    if not 2 <= length <= 4:
-        raise ValueError(f"exact transitions supported for lengths 2..4, got {length}")
-    cells = ordinal_cells(length)
-    rows: dict = {}
-    for src_pat, src_intervals in cells.cells:
-        mu_src = measure_of(src_intervals)
-        if mu_src <= 0.0:
-            continue
-        row: dict = {}
-        for dst_pat, dst_intervals in cells.cells:
-            pre = preimage_intervals(dst_intervals)
-            joint = 0.0
-            for s in src_intervals:
-                for p in pre:
-                    overlap = _intersect(s, p)
-                    if overlap is not None:
-                        joint += measure_of([overlap])
-            if joint > 1e-15:
-                row[encode_pattern(dst_pat)] = joint / mu_src
-        rows[encode_pattern(src_pat)] = row
-    return TransitionMatrix(length=length, rows=rows)
+    if not 2 <= length < MAX_LENGTH:
+        raise ValueError(f"exact transitions supported for lengths 2..{MAX_LENGTH - 1}, got {length}")
+    codes, probs = _law(length + 1)
+    return TransitionMatrix(length, _transition_rows(codes, probs, length))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ordent
-from ordent import census, generate, noisy_cubic
+from ordent import OrdinalCellSet, census, generate, noisy_cubic
 from ordent.cli import main
 from ordent.serialize import read_series, read_series_binary, write_series_csv
 
@@ -341,7 +341,23 @@ class TestOracle:
         assert probs[(2, 0, 1)] == pytest.approx(0.4, abs=1e-9)
 
     def test_unsupported_length_exit_2(self):
-        assert run("oracle", "--length", "7") == 2
+        assert run("oracle", "--length", "15") == 2
+
+    def test_length_checked_before_any_work(self, monkeypatch, tmp_path):
+        from ordent import logistic_exact
+
+        def fail(length):
+            raise AssertionError(f"cells built for length {length}")
+
+        monkeypatch.setattr(logistic_exact, "ordinal_cells", fail)
+        assert run("oracle", "--length", "14") == 2  # transitions stop at 13
+        assert run("oracle", "--length", "15", "--what", "cells") == 2
+        built = []  # an empty stand-in: the JSON of the 64140 real cells takes seconds
+        monkeypatch.setattr(logistic_exact, "ordinal_cells",
+                            lambda length: built.append(length) or OrdinalCellSet(length, [], {}))
+        assert run("oracle", "--length", "14", "--what", "cells",
+                   "--out", str(tmp_path / "cells.json")) == 0
+        assert built == [14]
 
 
 class TestWorkerCap:

@@ -1,12 +1,15 @@
 """Closed-form cells, arcsine measures, and exact transitions of the full-range map."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ordent import (
     arcsine_cdf,
+    census_lengths,
     encode_pattern,
     exact_transition_probs,
     generate,
@@ -16,10 +19,24 @@ from ordent import (
     preimage_intervals,
     transition_matrix,
 )
+from ordent.cli import main as cli_main
+from ordent.logistic_exact import _law
 
 SQRT5 = math.sqrt(5.0)
 SQRT3 = math.sqrt(3.0)
 ORDER3_BOUNDARIES = [0.25, (5 - SQRT5) / 8, 0.75, (5 + SQRT5) / 8]
+
+
+def _pairs(tm):
+    return {(src, dst) for src, row in tm.rows.items() for dst in row}
+
+
+def _tent_pattern(y, length):
+    """The tie-rule pattern of the exact tent orbit of the rational ``y``."""
+    orbit = [y]
+    for _ in range(length - 1):
+        orbit.append(2 * orbit[-1] if orbit[-1] <= Fraction(1, 2) else 2 - 2 * orbit[-1])
+    return tuple(sorted(range(length), key=lambda i: (orbit[i], i)))
 
 
 class TestArcsineMeasure:
@@ -117,7 +134,7 @@ class TestOrdinalCells:
 
     def test_rejects_unsupported_length(self):
         with pytest.raises(ValueError):
-            ordinal_cells(6)
+            ordinal_cells(15)
         with pytest.raises(ValueError):
             ordinal_cells(1)
 
@@ -153,7 +170,7 @@ class TestExactTransitions:
 
     def test_rejects_unsupported_length(self):
         with pytest.raises(ValueError):
-            exact_transition_probs(5)
+            exact_transition_probs(14)
 
     def test_matches_empirical_orbit(self):
         # simulation oracle: long-orbit frequencies vs closed-form probabilities
@@ -163,6 +180,13 @@ class TestExactTransitions:
         for src, row in tm_exact.rows.items():
             for dst, prob in row.items():
                 assert tm_emp.probability(src, dst) == pytest.approx(prob, abs=0.01)
+
+    def test_key_sets_match_empirical_orbit(self):
+        # the exact law has no slivers: every transition it lists occurs, and only those
+        orbit = generate(logistic(1_001_000, x0=0.3, seed=0)).samples[1000:]
+        for length in (2, 3, 4, 5):
+            exact, emp = exact_transition_probs(length), transition_matrix(orbit, length)
+            assert _pairs(exact) == _pairs(emp), length
 
     def test_pattern_probabilities_match_orbit_within_three_se(self):
         # block-based standard errors absorb the serial dependence of the orbit
@@ -177,3 +201,78 @@ class TestExactTransitions:
             block_freqs = np.array([(b == code).mean() for b in blocks])
             sem = block_freqs.std(ddof=1) / math.sqrt(len(blocks))
             assert abs(block_freqs.mean() - mu) <= 3.0 * max(sem, 1e-5), pattern
+
+
+class TestBreakpointOwners:
+    @pytest.mark.parametrize("length", [3, 4, 5, 6])
+    def test_owners_follow_exact_tie_rule(self, length):
+        # breakpoints are rationals in y = (2/pi) arcsin(sqrt x) whose denominators
+        # divide 2^(L-1) (s_i - s_j), at most 3 * 2^(2L-3)
+        cells = ordinal_cells(length)
+        for x, owner in cells.boundary_owner.items():
+            y = Fraction(arcsine_cdf(x)).limit_denominator(3 << (2 * length - 3))
+            assert owner == _tent_pattern(y, length), x
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 6])
+    def test_point_cells_are_isolated_tie_points(self, length):
+        cells = ordinal_cells(length)
+        neighbors = {}
+        for pat, intervals in cells.cells:
+            for a, b in intervals:
+                if b > a:
+                    neighbors.setdefault(a, set()).add(pat)
+                    neighbors.setdefault(b, set()).add(pat)
+        points = {(a, pat) for pat, iv in cells.cells for a, b in iv if a == b}
+        for x, owner in cells.boundary_owner.items():
+            assert ((x, owner) in points) == (owner not in neighbors[x]), x
+        assert all(x in cells.boundary_owner for x, _ in points)
+
+    def test_known_tie_points(self):
+        # the period-2 point y = 4/5 has x0 == x2, so the earlier index ranks lower
+        owners = ordinal_cells(3).boundary_owner
+        x = min(owners, key=lambda p: abs(p - (5 + SQRT5) / 8))
+        assert x == pytest.approx((5 + SQRT5) / 8, abs=1e-12)
+        assert owners[x] == (1, 0, 2)
+        cells = ordinal_cells(4)
+        (point,) = cells.intervals_for((1, 3, 0, 2))
+        assert point == (x, x)
+
+
+class TestExactLaw:
+    # distinct allowed patterns A(L) of the full-range map, L = 3..14
+    ALLOWED = [5, 12, 31, 75, 178, 414, 949, 2137, 4767, 10525, 23042, 50096]
+
+    def test_allowed_counts_and_total(self):
+        for length, allowed in zip(range(3, 15), self.ALLOWED):
+            codes, probs = _law(length)
+            assert codes.size == allowed
+            assert (probs > 0).all()
+            assert abs(probs.sum() - 1.0) <= 1e-15
+
+    def test_longest_lengths(self):
+        cells = ordinal_cells(14)
+        assert sum(any(b > a for a, b in iv) for _, iv in cells.cells) == 50096
+        tm = exact_transition_probs(13)
+        assert len(tm.rows) == 23042
+        for row in tm.rows.values():
+            assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_orbit_census_within_law(self):
+        orbit = generate(logistic(201_000, x0=0.3, seed=0)).samples[1000:]
+        lengths = range(3, 13)
+        for length, dist in zip(lengths, census_lengths(orbit, lengths)):
+            codes, _ = _law(length)
+            assert np.isin(dist.codes, codes).all(), length
+            if length <= 9:  # 2e5 samples show every allowed pattern up to L = 9
+                assert dist.codes.tolist() == codes.tolist(), length
+
+    def test_saturated_rate_is_log_allowed_over_length(self, tmp_path):
+        out = tmp_path / "rate.json"
+        with pytest.warns(UserWarning, match="undersampled"):
+            assert cli_main(["rate", "--process", "logistic", "--class", "exponential",
+                             "--c", "1", "--alpha", "0", "--t", "200000", "-R", "1",
+                             "--l-min", "3", "--l-max", "8", "--format", "json",
+                             "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["L"], r["z_over_l"]) for r in rows] == [
+            (L, math.log(_law(L)[0].size) / L) for L in range(3, 9)]
