@@ -288,16 +288,17 @@ def finite_pc_curve(
     length: int,
     t_grid: Sequence[int],
     realizations: int = 10,
-    seed: int = 0,
     workers: int = 1,
 ) -> CensusCurve:
     """Distinct-pattern growth ln A(L, T) on a grid of series lengths.
 
-    Each realization r uses seed + r.  A(L, T) counts the distinct codes
+    Realization r is ``spec`` with seed spec.seed + r, spec.t samples long;
+    the grid must lie within that length.  A(L, T) counts the distinct codes
     among the windows that lie inside the first T samples, i.e. the codes
     whose first occurrence starts at or before T - L.
     """
-    from .processgen import generate, replace_spec
+    from .complexity import _realization_rows
+    from .processgen import generate
 
     check_length(length)
     grid = np.asarray(list(t_grid), dtype=np.int64)
@@ -305,26 +306,22 @@ def finite_pc_curve(
         raise ValueError("t_grid must be a non-empty strictly increasing sequence")
     if grid[0] < length:
         raise ValueError(f"smallest grid length {grid[0]} is below the window length {length}")
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if grid[-1] > spec.t:
+        raise ValueError(f"largest grid length {grid[-1]} exceeds the series length {spec.t}")
 
-    def one_realization(r: int) -> np.ndarray:
-        series = generate(replace_spec(spec, t=int(grid[-1]), seed=seed + r)).samples
+    def one_realization(realization) -> np.ndarray:
+        series = generate(realization).samples
         _, first = np.unique(extract_patterns(series, length), return_index=True)
         counts = np.searchsorted(np.sort(first), grid - length, side="right")
         return np.log(counts.astype(np.float64))
 
-    from .complexity import _run_indexed
-
-    rows = _run_indexed(one_realization, realizations, workers)
-    per_real = np.vstack(rows)
-    values = per_real.mean(axis=0)
+    per_real = _realization_rows(one_realization, spec, realizations, workers)
     stddev = per_real.std(axis=0, ddof=1) if realizations > 1 else np.zeros(grid.size)
     return CensusCurve(
         length=length,
         t_grid=grid,
-        values=values,
+        values=per_real.mean(axis=0),
         stddev=stddev,
         per_realization=per_real,
-        meta={"process": spec.describe(), "realizations": realizations, "seed": seed},
+        meta={"process": spec.describe(), "realizations": realizations},
     )

@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_process_args(p, single=False)
     p.add_argument("--length", "-L", type=int, required=True)
     p.add_argument("--t-grid", default=None, help="comma-separated series lengths")
-    p.add_argument("--t-max", type=int, default=15000, help="largest series length for the automatic grid")
+    p.add_argument("--t-max", dest="t", type=int, help="top of the automatic grid (same as --t)")
+    p.set_defaults(t=15000)
     p.add_argument("--grid-points", type=int, default=40)
     p.add_argument("--realizations", "-R", type=int, default=10)
     _add_output_args(p)
@@ -312,30 +313,25 @@ def cmd_census(args) -> int:
 def cmd_pc_curve(args) -> int:
     _check_length(args.length)
     _check_realizations(args.realizations)
-    specs = [_spec_token(args, token) for token in args.process]
     if args.t_grid is not None:
         try:
             grid = sorted({int(tok) for tok in args.t_grid.split(",") if tok.strip()})
         except ValueError:
             raise UsageError(f"cannot parse t grid {args.t_grid!r}")
+    elif args.grid_points < 1:
+        raise UsageError(f"grid points must be >= 1, got {args.grid_points}")
     else:
-        if args.grid_points < 1:
-            raise UsageError(f"grid points must be >= 1, got {args.grid_points}")
-        grid = sorted(
-            {
-                int(round(v))
-                for v in np.geomspace(args.length, args.t_max, args.grid_points)
-            }
-        )
+        grid = sorted({int(round(v)) for v in np.geomspace(args.length, args.t, args.grid_points)})
     if not grid or grid[0] < args.length:
         raise UsageError("t grid must start at or above the pattern length")
+    # every series is as long as the grid's top
+    specs = [processgen.replace_spec(_spec_token(args, token), t=grid[-1])
+             for token in args.process]
 
     rows = []
     for spec in specs:
-        curve = finite_pc_curve(
-            spec, args.length, grid, realizations=args.realizations,
-            seed=args.seed, workers=_workers(),
-        )
+        curve = finite_pc_curve(spec, args.length, grid, realizations=args.realizations,
+                                workers=_workers())
         label = _process_label(spec)
         for t, mean, std in zip(curve.t_grid, curve.values, curve.stddev):
             rows.append((label, args.length, int(t), float(mean), float(std)))
@@ -364,8 +360,7 @@ def cmd_entropy(args) -> int:
     def job(i: int) -> complexity.RateEstimate:
         spec, alpha = grid[i]
         return complexity.entropy_rate(
-            spec, growth, alpha, lengths, t=args.t,
-            realizations=args.realizations, seed=args.seed,
+            spec, growth, alpha, lengths, realizations=args.realizations,
             transient=transient, workers=cell_workers,
         )
 
@@ -389,8 +384,7 @@ def cmd_rate(args) -> int:
     lengths = _length_range(args)
     _check_realizations(args.realizations)
     estimate = complexity.entropy_rate(
-        spec, growth, alphas[0], lengths, t=args.t,
-        realizations=args.realizations, seed=args.seed,
+        spec, growth, alphas[0], lengths, realizations=args.realizations,
         transient=_transient(args), workers=_workers(),
     )
     meta = {

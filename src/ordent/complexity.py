@@ -184,24 +184,22 @@ def entropy_rate(
     growth: ComplexityClass,
     alpha: float,
     l_range: Sequence[int],
-    t: int,
     realizations: int = 10,
-    seed: int = 0,
     transient: int | None = None,
     workers: int = 1,
 ) -> RateEstimate:
     """Average Z/L over independent realizations for each pattern length.
 
     alpha = 0 selects the topological variant (driven by the allowed-pattern
-    count); alpha > 0 the metric one.  Realization r uses seed + r, so
-    results do not depend on scheduling.  Each realization comes from
+    count); alpha > 0 the metric one.  Realization r is ``spec`` at seed
+    spec.seed + r, whatever the scheduling.  Each comes from
     ``processgen.steady_samples`` and is counted at every length by one
     ``census_lengths`` call (one pass of lag comparisons; bincount counting
-    where L! is at most the window count).  A warning is emitted when the
-    window count is below 10 L!, where the pattern census is badly undersampled.
+    where L! is at most the window count).  A warning is emitted when spec.t
+    gives fewer than 10 L! windows, where the census is badly undersampled.
     """
     from .census import census_lengths
-    from .processgen import replace_spec, steady_samples
+    from .processgen import steady_samples
 
     lengths = [int(L) for L in l_range]
     if not lengths:
@@ -210,18 +208,16 @@ def entropy_rate(
         check_length(L)
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
     for L in lengths:
-        if t - L + 1 < 10 * math.factorial(L):
+        if spec.t - L + 1 < 10 * math.factorial(L):
             warnings.warn(
-                f"t={t} gives {t - L + 1} windows at L={L}, below 10 * {L}! ; "
+                f"t={spec.t} gives {spec.t - L + 1} windows at L={L}, below 10 * {L}! ; "
                 "pattern probabilities will be undersampled",
                 stacklevel=2,
             )
 
-    def one_realization(r: int) -> np.ndarray:
-        series = steady_samples(replace_spec(spec, t=t, seed=seed + r), transient)
+    def one_realization(realization) -> np.ndarray:
+        series = steady_samples(realization, transient)
         out = np.empty(len(lengths))
         for i, (L, dist) in enumerate(zip(lengths, census_lengths(series, lengths))):
             if alpha == 0:
@@ -231,8 +227,7 @@ def entropy_rate(
             out[i] = z / L
         return out
 
-    rows = _run_indexed(one_realization, realizations, workers)
-    per_real = np.vstack(rows)
+    per_real = _realization_rows(one_realization, spec, realizations, workers)
     return RateEstimate(
         lengths=lengths,
         values=per_real.mean(axis=0),
@@ -240,6 +235,16 @@ def entropy_rate(
         alpha=alpha,
         growth_label=growth.label,
     )
+
+
+def _realization_rows(fn: Callable, spec, realizations: int, workers: int) -> np.ndarray:
+    """Rows fn(realization r) in r order; realization r is ``spec`` at seed spec.seed + r."""
+    from .processgen import replace_spec
+
+    if realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    rows = _run_indexed(lambda r: fn(replace_spec(spec, seed=spec.seed + r)), realizations, workers)
+    return np.vstack(rows)
 
 
 def _run_indexed(fn: Callable[[int], object], n: int, workers: int) -> list:

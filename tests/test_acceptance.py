@@ -103,7 +103,7 @@ def test_criterion_05_pc_curve_saturation():
     results = {}
     for length, target in ((6, 6.5793), (7, 8.5252)):
         grid = sorted({int(v) for v in np.geomspace(length, 100_000, 25)})
-        curve = finite_pc_curve(white_noise(2), length, grid, realizations=10, seed=5)
+        curve = finite_pc_curve(white_noise(grid[-1], seed=5), length, grid, realizations=10)
         results[length] = (curve.values[-1], target)
     ok = all(abs(got - target) <= 1e-3 for got, target in results.values())
     detail = ", ".join(f"L={L}: {got:.4f} vs {target}" for L, (got, target) in results.items())
@@ -246,13 +246,13 @@ def test_criterion_12_fgn_covariance():
 def test_criterion_13_factorial_rate_envelope():
     t, reps = 60_000, 10
     specs = {
-        "white-noise": white_noise(t),
-        "fgn H=0.75": fgn(t, hurst=0.75),
-        "fbm H=0.2": fbm(t, hurst=0.2),
-        "fbm H=0.5": fbm(t, hurst=0.5),
-        "fbm H=0.7": fbm(t, hurst=0.7),
-        "noisy cubic": noisy_cubic(t, amp=0.15),
-        "noisy skew tent": noisy_skew_tent(t, amp=0.2),
+        "white-noise": white_noise(t, seed=13),
+        "fgn H=0.75": fgn(t, hurst=0.75, seed=13),
+        "fbm H=0.2": fbm(t, hurst=0.2, seed=13),
+        "fbm H=0.5": fbm(t, hurst=0.5, seed=13),
+        "fbm H=0.7": fbm(t, hurst=0.7, seed=13),
+        "noisy cubic": noisy_cubic(t, amp=0.15, seed=13),
+        "noisy skew tent": noisy_skew_tent(t, amp=0.2, seed=13),
     }
     fac = ComplexityClass.factorial()
     alphas = (0.5, 1.0, 1.5)
@@ -260,7 +260,7 @@ def test_criterion_13_factorial_rate_envelope():
     values = {}
     for name, spec in specs.items():
         for alpha in alphas:
-            est = entropy_rate(spec, fac, alpha, lengths, t=t, realizations=reps, seed=13)
+            est = entropy_rate(spec, fac, alpha, lengths, realizations=reps)
             values[(name, alpha)] = est.values
 
     envelope_ok = True

@@ -322,6 +322,15 @@ class TestTransitionMatrix:
         assert tm.probability(down, up) == pytest.approx(2 / 3, abs=0.01)
         assert tm.probability(down, down) == pytest.approx(1 / 3, abs=0.01)
 
+    def test_row_patterns_are_the_source_patterns(self, logistic_orbit):
+        tm = transition_matrix(logistic_orbit, 3)
+        patterns = tm.row_patterns()
+        assert patterns == [tuple(r) for r in decode_pattern(sorted(tm.rows), 3).tolist()]
+        # every window but the last is the source of a transition
+        sources = census(logistic_orbit[:-1], 3)
+        assert patterns == [tuple(r) for r in decode_pattern(sources.codes, 3).tolist()]
+        assert len(patterns) == 5  # the logistic map forbids one of the 3! patterns
+
     def test_rows_normalized(self, logistic_orbit):
         tm = transition_matrix(logistic_orbit[:50_000], 3)
         for row in tm.rows.values():
@@ -397,19 +406,19 @@ class TestTransitionMatrix:
 class TestFinitePcCurve:
     def test_white_noise_saturates_at_log_factorial(self):
         grid = sorted({int(v) for v in np.geomspace(6, 100_000, 25)})
-        curve = finite_pc_curve(white_noise(2), 6, grid, realizations=5, seed=7)
+        curve = finite_pc_curve(white_noise(grid[-1], seed=7), 6, grid, realizations=5)
         assert curve.values[-1] == pytest.approx(math.log(720), abs=1e-3)
         assert curve.saturation == pytest.approx(6.5793, abs=1e-4)
 
     def test_values_below_cap_and_monotone(self):
         grid = sorted({int(v) for v in np.geomspace(7, 40_000, 20)})
-        curve = finite_pc_curve(white_noise(2), 7, grid, realizations=3, seed=8)
+        curve = finite_pc_curve(white_noise(grid[-1], seed=8), 7, grid, realizations=3)
         assert (curve.values <= math.lgamma(8.0) + 1e-12).all()
         for row in curve.per_realization:
             assert (np.diff(row) >= -1e-12).all()
 
     def test_single_window_grid_point(self):
-        curve = finite_pc_curve(white_noise(2), 4, [4, 10], realizations=2, seed=9)
+        curve = finite_pc_curve(white_noise(10, seed=9), 4, [4, 10], realizations=2)
         assert curve.values[0] == 0.0
 
     @pytest.mark.parametrize("spec", [fbm(2, 0.9), noisy_logistic(2)], ids=lambda s: s.kind)
@@ -417,7 +426,7 @@ class TestFinitePcCurve:
         # persistent fbm shows one pattern for a long stretch before others appear
         length = 6
         grid = sorted({int(round(v)) for v in np.geomspace(length, 15_000, 40)})
-        curve = finite_pc_curve(spec, length, grid, realizations=2, seed=0)
+        curve = finite_pc_curve(replace_spec(spec, t=grid[-1]), length, grid, realizations=2)
         for r in range(2):
             x = generate(replace_spec(spec, t=grid[-1], seed=r)).samples
             codes = brute_force_codes(x, length)
@@ -427,20 +436,37 @@ class TestFinitePcCurve:
     def test_logistic_curve_ends_at_log_allowed_count(self):
         # the logistic map at L = 3 allows 5 of the 6 patterns
         grid = list(range(3, 3003, 100))
-        curve = finite_pc_curve(logistic(2, x0=0.3), 3, grid, realizations=1, seed=0)
+        curve = finite_pc_curve(logistic(grid[-1], x0=0.3), 3, grid, realizations=1)
         assert curve.values[-1] == pytest.approx(math.log(5), abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            finite_pc_curve(white_noise(2), 3, [10, 5], realizations=1, seed=0)
+            finite_pc_curve(white_noise(10), 3, [10, 5], realizations=1)
         with pytest.raises(ValueError):
-            finite_pc_curve(white_noise(2), 3, [2, 10], realizations=1, seed=0)
+            finite_pc_curve(white_noise(10), 3, [2, 10], realizations=1)
         with pytest.raises(ValueError):
-            finite_pc_curve(white_noise(2), 3, [3, 10], realizations=0, seed=0)
+            finite_pc_curve(white_noise(10), 3, [3, 10], realizations=0)
+        with pytest.raises(ValueError, match="exceeds the series length 9"):
+            finite_pc_curve(white_noise(9), 3, [3, 10], realizations=1)
+
+    def test_counts_the_first_t_samples_of_each_realization(self):
+        # realization r is the spec at seed spec.seed + r, spec.t samples long,
+        # and the grid need not reach its end
+        spec, length, grid = fbm(3_000, 0.7, seed=2), 5, [5, 40, 300, 2_000]
+        curve = finite_pc_curve(spec, length, grid, realizations=2)
+        for r in range(2):
+            codes = brute_force_codes(generate(replace_spec(spec, seed=2 + r)).samples, length)
+            expected = [math.log(len(set(codes[: t - length + 1]))) for t in grid]
+            assert curve.per_realization[r].tolist() == expected
+
+    def test_meta_reports_the_drawn_spec(self):
+        spec = noisy_logistic(100, seed=9)
+        curve = finite_pc_curve(spec, 3, [10, 100], realizations=2)
+        assert curve.meta == {"process": spec.describe(), "realizations": 2}
 
     def test_mean_and_std_shapes(self):
         grid = [5, 50, 500]
-        curve = finite_pc_curve(white_noise(2), 3, grid, realizations=4, seed=10)
+        curve = finite_pc_curve(white_noise(grid[-1], seed=10), 3, grid, realizations=4)
         assert curve.values.shape == (3,)
         assert curve.stddev.shape == (3,)
         assert curve.per_realization.shape == (4, 3)

@@ -187,6 +187,15 @@ class TestPcCurve:
                   if l and not l.startswith("#") and not l.startswith("process")}
         assert labels == {"white-noise", "fgn:0.75"}
 
+    def test_t_and_t_max_set_one_grid_top(self, capsys):
+        outputs = []
+        for flag in ("--t", "--t-max"):
+            assert run("pc-curve", "--process", "fgn:0.75", "--length", "3", flag, "2000",
+                       "--grid-points", "6", "--realizations", "2") == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[-1].split(",")[2] == "2000"
+
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_grid_points_below_1_exit_2(self, capsys, points):
         assert run("pc-curve", "--process", "white-noise", "--length", "3",
@@ -526,10 +535,12 @@ class TestEntryPoint:
      "cf5844133ac72f6c3f015dd47143fe3ae6223a1048cc8c650f9c9b9919e07be0"),
     ("generate --process white-noise --t 2000",
      "b2a28b5510b0dee540a1d9cc938351b0fd7d3d225908a3d536022808651287fa"),
-], ids=["census-L5", "census-L8-missing", "generate"])
+    ("generate --process noisy-logistic --t 2000",
+     "a3cb48627e4b26c386de62fc0a6faab3cc0cfdb2a1ad1d735f72a97ab76b59d1"),
+], ids=["census-L5", "census-L8-missing", "generate", "generate-noisy-logistic"])
 def test_golden_csv_bytes(capsys, argv, sha256):
     """Pinned CSV output. These runs rest only on the PCG64 uniform stream,
-    integer counts and float division, not on FFTs or libm."""
+    integer counts and IEEE float arithmetic, not on FFTs or libm."""
     assert run(*argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
@@ -545,3 +556,17 @@ def test_golden_entropy_bytes(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e5009e605101064b3f7a1d9d1f89e5c01b34a02a965469fe6b3a84cd03f31dbc")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_pc_curve_bytes(capsys, monkeypatch, threads):
+    """Pinned distinct-pattern curves of a uniform, an FFT and a noisy-map
+    generator; like the entropy pin they rest on numpy's FFT and on libm."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("ORDENT_THREADS", threads)
+    argv = ("pc-curve --process white-noise --process fgn:0.75 --process noisy-logistic "
+            "--length 4 --t-max 3000 --grid-points 12 --realizations 3 --seed 5")
+    assert run(*argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bb1b5eda660db149f1835d9bc418b99939d3ffc6d20ee5604cc5a0ff562d78d3")

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import product_distribution, random_distribution
 from ordent import (
+    CensusCurve,
     ComplexityClass,
     census_lengths,
     classify_growth,
@@ -215,8 +216,7 @@ class TestEntropyRate:
     def test_white_noise_factorial_closed_form(self):
         fac = ComplexityClass.factorial()
         est = entropy_rate(
-            white_noise(60_000), fac, alpha=0.0, l_range=range(3, 8),
-            t=60_000, realizations=2, seed=11,
+            white_noise(60_000, seed=11), fac, alpha=0.0, l_range=range(3, 8), realizations=2,
         )
         # once every pattern is seen the value is exactly (g^-1(ln L!) - 1) / L
         for L, value in zip(est.lengths, est.values):
@@ -228,8 +228,8 @@ class TestEntropyRate:
 
     def test_metric_below_topological(self):
         fac = ComplexityClass.factorial()
-        kwargs = dict(l_range=range(3, 6), t=20_000, realizations=2, seed=5)
-        spec = white_noise(20_000)
+        kwargs = dict(l_range=range(3, 6), realizations=2)
+        spec = white_noise(20_000, seed=5)
         topo = entropy_rate(spec, fac, alpha=0.0, **kwargs)
         metric = entropy_rate(spec, fac, alpha=1.0, **kwargs)
         assert (metric.values <= topo.values + 1e-12).all()
@@ -237,8 +237,7 @@ class TestEntropyRate:
     def test_logistic_topological_bounded(self):
         exp1 = ComplexityClass.exponential(1.0)
         est = entropy_rate(
-            logistic(30_000), exp1, alpha=0.0, l_range=range(3, 7),
-            t=30_000, realizations=1, seed=0,
+            logistic(30_000), exp1, alpha=0.0, l_range=range(3, 7), realizations=1,
         )
         for L, value in zip(est.lengths, est.values):
             assert 0.0 <= value <= math.lgamma(L + 1.0) / L + 1e-12
@@ -247,15 +246,14 @@ class TestEntropyRate:
         fac = ComplexityClass.factorial()
         with pytest.warns(UserWarning, match="undersampled"):
             entropy_rate(
-                white_noise(2_000), fac, alpha=1.0, l_range=[7],
-                t=2_000, realizations=1, seed=0,
+                white_noise(2_000), fac, alpha=1.0, l_range=[7], realizations=1,
             )
 
     def test_rejects_negative_transient(self):
         with pytest.raises(ValueError, match="transient"):
             entropy_rate(
                 logistic(1_000), ComplexityClass.factorial(), alpha=1.0, l_range=[3],
-                t=1_000, realizations=1, seed=0, transient=-1,
+                realizations=1, transient=-1,
             )
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
@@ -266,15 +264,15 @@ class TestEntropyRate:
         monkeypatch.setattr("ordent.processgen.generate", no_generation)
         with pytest.raises(ValueError, match="finite"):
             entropy_rate(white_noise(1_000), ComplexityClass.factorial(), alpha, [3],
-                         t=1_000, realizations=2, seed=0, workers=2)
+                         realizations=2, workers=2)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_scores_each_length_by_the_class_entropy_functions(self, alpha):
         """Z/L of every realization is the library's class entropy of that
         realization's census, bit for bit."""
         growth = ComplexityClass.factorial()
-        spec, lengths = noisy_cubic(4_000), [3, 4, 5]
-        est = entropy_rate(spec, growth, alpha, lengths, t=4_000, realizations=3, seed=8)
+        spec, lengths = noisy_cubic(4_000, seed=8), [3, 4, 5]
+        est = entropy_rate(spec, growth, alpha, lengths, realizations=3)
         for r, row in enumerate(est.per_realization):
             series = steady_samples(replace_spec(spec, seed=8 + r))
             expected = [
@@ -286,14 +284,32 @@ class TestEntropyRate:
 
     def test_workers_do_not_change_results(self):
         fac = ComplexityClass.factorial()
-        kwargs = dict(l_range=range(3, 5), t=5_000, realizations=4, seed=9)
-        spec = white_noise(5_000)
+        kwargs = dict(l_range=range(3, 5), realizations=4)
+        spec = white_noise(5_000, seed=9)
         serial = entropy_rate(spec, fac, alpha=1.0, workers=1, **kwargs)
         threaded = entropy_rate(spec, fac, alpha=1.0, workers=4, **kwargs)
         assert np.array_equal(serial.per_realization, threaded.per_realization)
 
+    def test_spec_seed_and_length_change_the_result(self):
+        fac = ComplexityClass.factorial()
+        base = entropy_rate(white_noise(3_000), fac, 1.0, [3, 4], realizations=2)
+        for spec in (white_noise(3_000, seed=1), white_noise(4_000)):
+            other = entropy_rate(spec, fac, 1.0, [3, 4], realizations=2)
+            assert not np.array_equal(other.per_realization, base.per_realization)
+
 
 class TestClassifyGrowth:
+    def test_census_curves_fit_as_their_final_values(self):
+        curves = [
+            CensusCurve(length=L, t_grid=np.array([L, 1_000]), values=np.array([0.0, y]),
+                        stddev=np.zeros(2), per_realization=np.array([[0.0, y]]))
+            for L, y in ((3, 1.7), (4, 3.1), (5, 4.6), (6, 6.2))
+        ]
+        fit = classify_growth(curves)
+        want = classify_growth([(c.length, c.final_value) for c in curves])
+        assert (fit.kind, fit.c_hat, fit.rss, fit.model) == (want.kind, want.c_hat, want.rss, want.model)
+        assert fit.residuals.tolist() == want.residuals.tolist()
+
     def test_pure_linear(self):
         data = [(L, 0.7 * L) for L in range(3, 9)]
         fit = classify_growth(data)

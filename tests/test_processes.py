@@ -194,14 +194,19 @@ class TestFgnCovariance:
 
     @pytest.mark.parametrize("make", [fgn, fbm], ids=["fgn", "fbm"])
     def test_cached_embedding_gives_the_same_samples(self, make):
-        from ordent.processgen import _circulant_coefficients
+        from ordent.processgen import _chirp_plan, _circulant_coefficients
 
+        # fgn's 6000-point embedding is 5-smooth; fbm's 5998-point one takes
+        # the chirp path, which caches its plan and no coefficients
+        cache = _circulant_coefficients if make is fgn else _chirp_plan
         spec = make(3_000, hurst=0.3, seed=21)
         _circulant_coefficients.cache_clear()
+        _chirp_plan.cache_clear()
         first = generate(spec).samples
-        assert _circulant_coefficients.cache_info().currsize == 1
+        assert cache.cache_info().currsize == 1
+        assert _circulant_coefficients.cache_info().currsize == (make is fgn)
         second = generate(spec).samples
-        assert _circulant_coefficients.cache_info().hits >= 1
+        assert cache.cache_info().hits >= 1
         assert np.array_equal(first, second)
         coeff = _circulant_coefficients(spec.t - (make is fbm), 0.3)
         assert not coeff.flags.writeable
