@@ -66,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_census)
 
     p = sub.add_parser("pc-curve", help="distinct-pattern growth vs series length")
-    _add_process_args(p, single=False)
+    _add_process_args(p, single=False, t_help="top of the automatic grid (default 15000)")
     p.add_argument("--length", "-L", type=int, required=True)
-    p.add_argument("--t-grid", default=None, help="comma-separated series lengths")
-    p.add_argument("--t-max", dest="t", type=int, help="top of the automatic grid (same as --t)")
-    p.set_defaults(t=15000)
-    p.add_argument("--grid-points", type=int, default=40)
+    p.add_argument("--t-grid", default=None, help="comma-separated series lengths (no automatic grid)")
+    p.add_argument("--t-max", dest="t", type=int, help="same as --t")
+    p.set_defaults(t=None)
+    p.add_argument("--grid-points", type=int, help="points of the automatic grid (default 40)")
     p.add_argument("--realizations", "-R", type=int, default=10)
     _add_output_args(p)
     p.set_defaults(handler=cmd_pc_curve)
@@ -116,21 +116,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_process_args(p: argparse.ArgumentParser, single: bool, optional: bool = False) -> None:
+def _add_process_args(p: argparse.ArgumentParser, single: bool, optional: bool = False,
+                      t_help: str = "series length") -> None:
     if single:
         p.add_argument("--process", default=None, required=not optional, help="process kind")
     else:
         p.add_argument("--process", action="append", required=True,
                        help="process kind; repeat for several (fgn/fbm accept kind:HURST)")
-    p.add_argument("--t", type=int, default=10000, help="series length")
+    p.add_argument("--t", type=int, default=10000, help=t_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hurst", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--a-range", type=float, nargs=2, default=None, metavar=("LO", "HI"))
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--y0", type=float, default=None)
+    for name in dict.fromkeys(n for names in processgen.PARAMETERS.values() for n in names):
+        kinds = ", ".join(k for k, names in processgen.PARAMETERS.items() if name in names)
+        pair = {"nargs": 2, "metavar": ("LO", "HI")} if name == "a_range" else {}
+        p.add_argument("--" + name.replace("_", "-"), type=float, help=f"read by {kinds}", **pair)
 
 
 def _add_class_args(p: argparse.ArgumentParser) -> None:
@@ -144,54 +142,45 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _spec_token(args, token: str):
-    kind = token
-    hurst = args.hurst
-    if ":" in token:
-        kind, param = token.split(":", 1)
-        try:
-            hurst = float(param)
-        except ValueError:
-            raise UsageError(f"cannot parse parameter {param!r} in process {token!r}")
-    overrides = {}
-    if kind in ("fgn", "fbm"):
-        if hurst is None:
+def _process_specs(args, tokens: Sequence[str], t: int) -> List[processgen.ProcessSpec]:
+    """One spec per --process token, built by its kind's constructor from the given options
+    that the kind reads (processgen.PARAMETERS).  ``kind:H`` sets hurst, so --hurst reaches
+    bare tokens only.  A given option that no token reads is a usage error."""
+    given = {name: getattr(args, name) for names in processgen.PARAMETERS.values()
+             for name in names if getattr(args, name) is not None}
+    if "a_range" in given:
+        given["a_range"] = tuple(given["a_range"])  # argparse gives a list
+    unread, specs = set(given), []
+    for token in tokens:
+        kind, colon, param = token.partition(":")
+        if kind not in processgen.PARAMETERS:  # before getattr: processgen has other functions
+            raise UsageError(f"unknown process {kind!r}; choose from {sorted(processgen.KINDS)}")
+        reads = processgen.PARAMETERS[kind]
+        params = {name: given[name] for name in reads
+                  if name in given and not (colon and name == "hurst")}
+        unread -= params.keys()
+        if colon:
+            if "hurst" not in reads:
+                raise UsageError(f"process {kind!r} reads no Hurst exponent, so {token!r} is refused")
+            try:
+                params["hurst"] = float(param)
+            except ValueError:
+                raise UsageError(f"cannot parse parameter {param!r} in process {token!r}")
+        elif "hurst" in reads and "hurst" not in params:
             raise UsageError(f"process {kind!r} needs --hurst or the {kind}:H shorthand")
-        overrides["hurst"] = hurst
-    for name in ("a", "eps", "x0", "amp", "y0"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "a_range", None) is not None:
-        overrides["a_range"] = tuple(args.a_range)
-    try:
-        return _make_spec(kind, args.t, args.seed, overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _make_spec(kind: str, t: int, seed: int, overrides: dict) -> processgen.ProcessSpec:
-    def picked(*names):
-        return {k: overrides[k] for k in names if k in overrides}
-
-    if kind == "white-noise":
-        return processgen.white_noise(t, seed=seed)
-    if kind == "fgn":
-        return processgen.fgn(t, overrides["hurst"], seed=seed)
-    if kind == "fbm":
-        return processgen.fbm(t, overrides["hurst"], seed=seed)
-    if kind == "logistic":
-        return processgen.logistic(t, seed=seed, **picked("a", "x0"))
-    if kind == "noisy-logistic":
-        return processgen.noisy_logistic(t, seed=seed, **picked("a", "eps", "x0", "a_range"))
-    if kind == "noisy-cubic":
-        return processgen.noisy_cubic(t, seed=seed, **picked("amp", "y0"))
-    if kind == "noisy-skew-tent":
-        return processgen.noisy_skew_tent(t, seed=seed, **picked("amp", "y0"))
-    raise UsageError(f"unknown process {kind!r}; choose from {sorted(processgen.KINDS)}")
+        try:
+            specs.append(getattr(processgen, kind.replace("-", "_"))(t, seed=args.seed, **params))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    if unread:
+        names = ", ".join("--" + name.replace("_", "-") for name in sorted(unread))
+        raise UsageError(f"no named process reads {names}")
+    return specs
 
 
 def _transient(args) -> Optional[int]:
+    if args.transient is not None and getattr(args, "input", None) is not None:
+        raise UsageError("--transient applies to a --process series, not to --input")
     if args.transient is not None and args.transient < 0:
         raise UsageError(f"transient must be >= 0, got {args.transient}")
     return args.transient
@@ -232,6 +221,8 @@ def _growth_from_args(args) -> complexity.ComplexityClass:
             if args.c is None:
                 raise UsageError("subfactorial class needs --c in (0, 1)")
             return complexity.ComplexityClass.sub_factorial(args.c)
+        if args.c is not None:
+            raise UsageError("the factorial class reads no --c")
         return complexity.ComplexityClass.factorial()
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -241,7 +232,7 @@ def _growth_from_args(args) -> complexity.ComplexityClass:
 
 
 def cmd_generate(args) -> int:
-    spec = _spec_token(args, args.process)
+    (spec,) = _process_specs(args, [args.process], args.t)
     series = processgen.generate(spec)
     if args.format == "binary":
         if args.out is None:
@@ -263,13 +254,14 @@ def cmd_census(args) -> int:
     _check_length(args.length)
     if args.report_missing and args.length > _MISSING_LENGTH_LIMIT:
         raise UsageError(f"--report-missing needs length <= {_MISSING_LENGTH_LIMIT}, got {args.length}")
+    specs = _process_specs(args, [] if args.process is None else [args.process], args.t)
+    transient = _transient(args)
     if args.input is not None:
         samples = serialize.read_series(args.input)
         source = args.input
     else:
-        spec = _spec_token(args, args.process)
-        samples = processgen.steady_samples(spec, _transient(args))
-        source = spec.kind
+        samples = processgen.steady_samples(specs[0], transient)
+        source = specs[0].kind
 
     dist = run_census(samples, args.length)
     meta = {
@@ -314,19 +306,23 @@ def cmd_pc_curve(args) -> int:
     _check_length(args.length)
     _check_realizations(args.realizations)
     if args.t_grid is not None:
+        for flag, value in (("--t/--t-max", args.t), ("--grid-points", args.grid_points)):
+            if value is not None:
+                raise UsageError(f"{flag} shapes the automatic grid; --t-grid replaces it")
         try:
             grid = sorted({int(tok) for tok in args.t_grid.split(",") if tok.strip()})
         except ValueError:
             raise UsageError(f"cannot parse t grid {args.t_grid!r}")
-    elif args.grid_points < 1:
-        raise UsageError(f"grid points must be >= 1, got {args.grid_points}")
     else:
-        grid = sorted({int(round(v)) for v in np.geomspace(args.length, args.t, args.grid_points)})
+        top = 15000 if args.t is None else args.t
+        points = 40 if args.grid_points is None else args.grid_points
+        if points < 1:
+            raise UsageError(f"grid points must be >= 1, got {points}")
+        grid = sorted({int(round(v)) for v in np.geomspace(args.length, top, points)})
     if not grid or grid[0] < args.length:
         raise UsageError("t grid must start at or above the pattern length")
     # every series is as long as the grid's top
-    specs = [processgen.replace_spec(_spec_token(args, token), t=grid[-1])
-             for token in args.process]
+    specs = _process_specs(args, args.process, grid[-1])
 
     rows = []
     for spec in specs:
@@ -343,7 +339,7 @@ def cmd_pc_curve(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    specs = [_spec_token(args, token) for token in args.process]
+    specs = _process_specs(args, args.process, args.t)
     alphas = _parse_alphas(args.alpha)
     growth = _growth_from_args(args)
     lengths = _length_range(args)
@@ -376,7 +372,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    spec = _spec_token(args, args.process)
+    (spec,) = _process_specs(args, [args.process], args.t)
     alphas = _parse_alphas(args.alpha)
     if len(alphas) != 1:
         raise UsageError(f"rate takes one alpha, got {args.alpha!r}")
@@ -400,12 +396,13 @@ def cmd_rate(args) -> int:
 def cmd_classify(args) -> int:
     if (args.input is None) == (args.process is None):
         raise UsageError("give exactly one of --input or --process")
+    specs = _process_specs(args, [] if args.process is None else [args.process], args.t)
+    transient = _transient(args)
     if args.input is not None:
         pairs = _read_growth_pairs(args.input)
     else:
-        spec = _spec_token(args, args.process)
         lengths = _length_range(args)
-        samples = processgen.steady_samples(spec, _transient(args))
+        samples = processgen.steady_samples(specs[0], transient)
         pairs = [(L, math.log(dist.allowed_count))
                  for L, dist in zip(lengths, census_lengths(samples, lengths))]
     try:
@@ -483,9 +480,7 @@ def _check_realizations(realizations: int) -> None:
 
 
 def _process_label(spec: processgen.ProcessSpec) -> str:
-    if spec.kind in ("fgn", "fbm"):
-        return f"{spec.kind}:{spec.hurst:g}"
-    return spec.kind
+    return spec.kind if spec.hurst is None else f"{spec.kind}:{spec.hurst:g}"
 
 
 def _read_growth_pairs(path: str) -> List[tuple]:

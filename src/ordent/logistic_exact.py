@@ -30,10 +30,6 @@ MAX_LENGTH = 14
 Interval = Tuple[float, float]
 
 
-def logistic_map(x):
-    return 4.0 * np.asarray(x, dtype=np.float64) * (1.0 - np.asarray(x, dtype=np.float64))
-
-
 def arcsine_cdf(x):
     """F(x) = (2/pi) arcsin(sqrt(x)) on [0, 1]."""
     arr = np.asarray(x, dtype=np.float64)

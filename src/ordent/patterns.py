@@ -101,13 +101,7 @@ def encode_pattern(pattern: Sequence[int]) -> PatternCode:
 
     Inverse of :func:`decode_pattern`; the map is a bijection onto [0, L!).
     """
-    p = validate_pattern(pattern)
-    length = len(p)
-    code = 0
-    for i in range(length - 1):
-        smaller_after = sum(1 for j in range(i + 1, length) if p[j] < p[i])
-        code += smaller_after * factorial(length - 1 - i)
-    return code
+    return int(_lehmer_codes(np.array([validate_pattern(pattern)]))[0])
 
 
 def decode_pattern(code, length: int):

@@ -25,7 +25,17 @@ NOISY_LOGISTIC = "noisy-logistic"
 NOISY_CUBIC = "noisy-cubic"
 NOISY_SKEW_TENT = "noisy-skew-tent"
 
-KINDS = (WHITE_NOISE, FGN, FBM, LOGISTIC, NOISY_LOGISTIC, NOISY_CUBIC, NOISY_SKEW_TENT)
+# the knobs each kind reads, in field order: its constructor's keywords but t and seed
+PARAMETERS = {
+    WHITE_NOISE: (),
+    FGN: ("hurst",),
+    FBM: ("hurst",),
+    LOGISTIC: ("a", "x0"),
+    NOISY_LOGISTIC: ("a", "eps", "x0", "a_range"),
+    NOISY_CUBIC: ("amp", "y0"),
+    NOISY_SKEW_TENT: ("amp", "y0"),
+}
+KINDS = tuple(PARAMETERS)
 
 # map orbits start off their attractor: this many leading samples are
 # dropped before counting unless the caller asks otherwise
@@ -38,7 +48,7 @@ _CUBIC_BOUND = 2.0 / math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Declarative generator parameters: process kind, length, seed, knobs."""
+    """Declarative generator parameters: process kind, length, seed, the knobs the kind reads."""
 
     kind: str
     t: int
@@ -56,6 +66,9 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind {self.kind!r}; choose from {KINDS}")
         if self.t < 2:
             raise ValueError(f"series length must be >= 2, got {self.t}")
+        for field in dataclasses.fields(self)[3:]:  # the knobs, after kind, t and seed
+            if getattr(self, field.name) is not None and field.name not in PARAMETERS[self.kind]:
+                raise ValueError(f"process {self.kind!r} does not read {field.name}")
         if self.kind in (FGN, FBM):
             if self.hurst is None or not 0.0 < self.hurst < 1.0:
                 raise ValueError(f"Hurst exponent must lie in (0, 1), got {self.hurst}")
@@ -88,7 +101,7 @@ class ProcessSpec:
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "t": self.t, "seed": self.seed}
-        for name in ("hurst", "a", "eps", "x0", "amp", "y0", "a_range"):
+        for name in PARAMETERS[self.kind]:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value

@@ -67,6 +67,75 @@ class TestGenerate:
         assert run("generate", "--process", "pink-noise", "--t", "100") == 2
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail any generation or series read: a refused command line does neither."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated or read a series for a refused command line")
+
+    monkeypatch.setattr("ordent.processgen.generate", refuse)
+    monkeypatch.setattr("ordent.serialize.read_series", refuse)
+
+
+class TestProcessOptions:
+    @pytest.mark.parametrize("process, option", [
+        ("logistic", ["--a", "3.9"]),
+        ("logistic", ["--x0", "0.2"]),
+        ("noisy-logistic", ["--a", "3.9"]),
+        ("noisy-logistic", ["--x0", "0.2"]),
+        ("noisy-logistic", ["--eps", "0.05"]),
+        ("noisy-logistic", ["--a-range", "3.6", "3.7"]),
+        ("noisy-cubic", ["--amp", "0.3"]),
+        ("noisy-cubic", ["--y0", "0.2"]),
+        ("noisy-skew-tent", ["--amp", "0.3"]),
+        ("noisy-skew-tent", ["--y0", "0.2"]),
+        ("fgn", ["--hurst", "0.3"]),
+        ("fbm", ["--hurst", "0.3"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+    def test_option_changes_a_kind_that_reads_it(self, capsys, process, option):
+        outputs = []
+        for extra in ([] if "--hurst" not in option else ["--hurst", "0.8"]), option:
+            assert run("generate", "--process", process, "--t", "200", "--seed", "4", *extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("argv, option", [
+        (["generate", "--process", "white-noise", "--a", "3.9"], "--a"),
+        (["generate", "--process", "white-noise", "--hurst", "0.3"], "--hurst"),
+        (["generate", "--process", "white-noise", "--eps", "0.5"], "--eps"),
+        (["generate", "--process", "logistic", "--eps", "0.2"], "--eps"),
+        (["generate", "--process", "logistic", "--a-range", "3.8", "3.9"], "--a-range"),
+        (["census", "--process", "noisy-skew-tent", "-L", "3", "--x0", "0.2"], "--x0"),
+        (["census", "--process", "logistic", "-L", "3", "--amp", "0.1"], "--amp"),
+        (["rate", "--process", "noisy-cubic", "--a", "2"], "--a"),
+        (["classify", "--process", "fgn:0.6", "--y0", "0.2"], "--y0"),
+        (["entropy", "--process", "white-noise", "--process", "logistic", "--eps", "0.1"], "--eps"),
+        (["pc-curve", "--process", "fbm:0.3", "-L", "3", "--amp", "0.2"], "--amp"),
+        (["generate", "--process", "fgn:0.3", "--hurst", "0.9"], "--hurst"),
+        (["census", "--input", "series.csv", "-L", "3", "--amp", "0.2"], "--amp"),
+        (["classify", "--input", "growth.csv", "--hurst", "0.5"], "--hurst"),
+    ], ids=lambda v: f"{v[0]}:{v[2]}" if isinstance(v, list) else v.lstrip("-"))
+    def test_option_no_named_process_reads_exit_2(self, capsys, no_work, argv, option):
+        assert run(*argv) == 2
+        assert f"usage error: no named process reads {option}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("process", ["white-noise:0.3", "noisy-logistic:0.5"])
+    def test_hurst_shorthand_on_a_kind_without_hurst_exit_2(self, capsys, no_work, process):
+        assert run("generate", "--process", process) == 2
+        assert f"reads no Hurst exponent, so '{process}' is refused" in capsys.readouterr().err
+
+    def test_not_a_constructor_is_an_unknown_process(self, capsys, no_work):
+        assert run("generate", "--process", "steady-samples") == 2
+        assert "usage error: unknown process 'steady-samples'" in capsys.readouterr().err
+
+    def test_hurst_reaches_bare_tokens(self, capsys):
+        assert run("entropy", "--process", "fgn", "--process", "fbm:0.3", "--hurst", "0.8",
+                   "--t", "2000", "-R", "1", "--l-max", "4", "--alpha", "1") == 0
+        labels = {line.split(",")[0] for line in capsys.readouterr().out.splitlines()
+                  if line and not line.startswith(("#", "process"))}
+        assert labels == {"fgn:0.8", "fbm:0.3"}
+
+
 class TestCensus:
     def test_logistic_table(self, tmp_path):
         out = tmp_path / "census.csv"
@@ -149,6 +218,11 @@ class TestCensus:
         assert run("census", "--input", str(series), "--length", "2") == 1
         assert "index 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["census", "-L", "3"], ["classify"]])
+    def test_transient_with_input_exit_2_before_any_read(self, capsys, no_work, command):
+        assert run(*command, "--input", "missing.csv", "--transient", "500") == 2
+        assert "usage error: --transient applies to a --process series" in capsys.readouterr().err
+
     def test_input_and_process_conflict(self):
         assert run("census", "--input", "x.csv", "--process", "white-noise",
                    "--length", "3") == 2
@@ -195,6 +269,21 @@ class TestPcCurve:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[-1].split(",")[2] == "2000"
+
+    @pytest.mark.parametrize("option, flag", [
+        (["--t", "50"], "--t/--t-max"), (["--t-max", "50"], "--t/--t-max"),
+        (["--grid-points", "0"], "--grid-points"), (["--grid-points", "40"], "--grid-points"),
+    ], ids=["t", "t-max", "grid-points-0", "grid-points-40"])
+    def test_automatic_grid_option_with_t_grid_exit_2(self, capsys, no_work, option, flag):
+        assert run("pc-curve", "--process", "white-noise", "--length", "3",
+                   "--t-grid", "10,100", "-R", "2", *option) == 2
+        assert f"usage error: {flag} shapes the automatic grid" in capsys.readouterr().err
+
+    def test_t_help_names_the_grid_top(self, capsys):
+        with pytest.raises(SystemExit):
+            run("pc-curve", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--t T top of the automatic grid (default 15000)" in text
 
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_grid_points_below_1_exit_2(self, capsys, points):
@@ -251,6 +340,11 @@ class TestEntropyAndRate:
         monkeypatch.setattr("ordent.processgen.generate", no_generation)
         assert run(command, "--process", "white-noise", "--t", "1000", f"--alpha={alpha}") == 2
         assert "usage error: alpha must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate", "entropy"])
+    def test_c_with_factorial_class_exit_2(self, capsys, no_work, command):
+        assert run(command, "--process", "white-noise", "--t", "3000", "--c", "0.3") == 2
+        assert "usage error: the factorial class reads no --c" in capsys.readouterr().err
 
     def test_rate_takes_one_alpha(self, capsys):
         assert run("rate", "--process", "white-noise", "--alpha", "0.5,1") == 2

@@ -1,5 +1,6 @@
 """Reference process generators: determinism and distributional checks."""
 
+import inspect
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ordent import (
     replace_spec,
     white_noise,
 )
+from ordent import processgen
 from ordent.processgen import steady_samples
 
 ALL_SPECS = [
@@ -102,6 +104,26 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProcessSpec(kind="pink-noise", t=100)
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("kind", processgen.KINDS)
+    def test_table_names_the_constructor_keywords(self, kind):
+        constructor = getattr(processgen, kind.replace("-", "_"))
+        keywords = tuple(inspect.signature(constructor).parameters)
+        assert tuple(k for k in keywords if k not in ("t", "seed")) == processgen.PARAMETERS[kind]
+
+    def test_spec_refuses_a_field_its_kind_does_not_read(self):
+        with pytest.raises(ValueError, match="process 'white-noise' does not read a$"):
+            ProcessSpec(kind="white-noise", t=10, a=3.0)
+        with pytest.raises(ValueError, match="process 'logistic' does not read eps$"):
+            ProcessSpec(kind="logistic", t=10, a=3.9, x0=0.3, eps=0.1)
+
+    def test_replace_spec_refuses_a_foreign_field(self):
+        with pytest.raises(ValueError, match="process 'white-noise' does not read"):
+            replace_spec(white_noise(10), a=3.0, hurst=0.2)
+        with pytest.raises(ValueError, match="process 'fgn' does not read amp$"):
+            replace_spec(fgn(10, 0.3), amp=0.2)
 
 
 class TestWhiteNoise:
