@@ -32,6 +32,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
+        _series_args(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -66,11 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_census)
 
     p = sub.add_parser("pc-curve", help="distinct-pattern growth vs series length")
-    _add_process_args(p, single=False, t_help="top of the automatic grid (default 15000)")
+    _add_process_args(p, single=False, t_dest="top", t_help="top of the automatic grid (default 15000)")
     p.add_argument("--length", "-L", type=int, required=True)
     p.add_argument("--t-grid", default=None, help="comma-separated series lengths (no automatic grid)")
-    p.add_argument("--t-max", dest="t", type=int, help="same as --t")
-    p.set_defaults(t=None)
+    p.add_argument("--t-max", dest="top", type=int, metavar="T", help="same as --t")
     p.add_argument("--grid-points", type=int, help="points of the automatic grid (default 40)")
     p.add_argument("--realizations", "-R", type=int, default=10)
     _add_output_args(p)
@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="class entropy per variable for each (process, L, alpha)")
     _add_process_args(p, single=False)
-    p.add_argument("--l-min", type=int, default=3)
-    p.add_argument("--l-max", type=int, default=7)
+    p.add_argument("--l-min", type=int, help="(default 3)")
+    p.add_argument("--l-max", type=int, help="(default 7)")
     p.add_argument("--alpha", default="0.5,1,1.5", help="comma-separated Renyi orders (0 = topological)")
     _add_class_args(p)
     p.add_argument("--realizations", "-R", type=int, default=10)
@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="entropy-over-length sequence for one process")
     _add_process_args(p, single=True)
-    p.add_argument("--l-min", type=int, default=3)
-    p.add_argument("--l-max", type=int, default=7)
+    p.add_argument("--l-min", type=int, help="(default 3)")
+    p.add_argument("--l-max", type=int, help="(default 7)")
     p.add_argument("--alpha", default="1.0", help="one Renyi order (0 = topological)")
     _add_class_args(p)
     p.add_argument("--realizations", "-R", type=int, default=10)
@@ -101,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="fit the growth class of allowed-pattern counts")
     _add_process_args(p, single=True, optional=True)
     p.add_argument("--input", default=None, help="CSV of length,ln_allowed rows")
-    p.add_argument("--l-min", type=int, default=3)
-    p.add_argument("--l-max", type=int, default=7)
+    p.add_argument("--l-min", type=int, help="(default 3)")
+    p.add_argument("--l-max", type=int, help="(default 7)")
     p.add_argument("--transient", type=int, default=None)
     _add_output_args(p)
     p.set_defaults(handler=cmd_classify)
@@ -117,14 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_process_args(p: argparse.ArgumentParser, single: bool, optional: bool = False,
-                      t_help: str = "series length") -> None:
+                      t_dest: str = "t", t_help: str = "series length (default 10000)") -> None:
     if single:
         p.add_argument("--process", default=None, required=not optional, help="process kind")
     else:
         p.add_argument("--process", action="append", required=True,
                        help="process kind; repeat for several (fgn/fbm accept kind:HURST)")
-    p.add_argument("--t", type=int, default=10000, help=t_help)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t", dest=t_dest, type=int, metavar="T", help=t_help)
+    p.add_argument("--seed", type=int, help="(default 0)")
     for name in dict.fromkeys(n for names in processgen.PARAMETERS.values() for n in names):
         kinds = ", ".join(k for k, names in processgen.PARAMETERS.items() if name in names)
         pair = {"nargs": 2, "metavar": ("LO", "HI")} if name == "a_range" else {}
@@ -178,12 +178,27 @@ def _process_specs(args, tokens: Sequence[str], t: int) -> List[processgen.Proce
     return specs
 
 
-def _transient(args) -> Optional[int]:
-    if args.transient is not None and getattr(args, "input", None) is not None:
-        raise UsageError("--transient applies to a --process series, not to --input")
-    if args.transient is not None and args.transient < 0:
+# the options that shape a generated series, and their defaults
+_SERIES_DEFAULTS = {"t": 10000, "seed": 0, "transient": None, "l_min": 3, "l_max": 7}
+
+
+def _series_args(args) -> None:
+    """Check the options of a command's series source and fill in their defaults.
+
+    The options parse to None when not given, so that with --input, where
+    nothing is generated for them to shape, a given one is refused."""
+    reading = getattr(args, "input", None) is not None
+    if hasattr(args, "input") and reading == (args.process is not None):
+        raise UsageError("give exactly one of --input or --process")
+    for name, default in _SERIES_DEFAULTS.items():
+        if not hasattr(args, name):
+            continue
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif reading:
+            raise UsageError(f"--{name.replace('_', '-')} applies to a --process series, not to --input")
+    if getattr(args, "transient", None) is not None and args.transient < 0:
         raise UsageError(f"transient must be >= 0, got {args.transient}")
-    return args.transient
 
 
 def _workers() -> int:
@@ -232,11 +247,11 @@ def _growth_from_args(args) -> complexity.ComplexityClass:
 
 
 def cmd_generate(args) -> int:
+    if args.format == "binary" and args.out is None:
+        raise UsageError("binary output requires --out")
     (spec,) = _process_specs(args, [args.process], args.t)
     series = processgen.generate(spec)
     if args.format == "binary":
-        if args.out is None:
-            raise UsageError("binary output requires --out")
         serialize.write_series_binary(args.out, series.samples)
     else:
         serialize.write_series_csv(args.out, series.samples)
@@ -249,18 +264,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if (args.input is None) == (args.process is None):
-        raise UsageError("give exactly one of --input or --process")
     _check_length(args.length)
     if args.report_missing and args.length > _MISSING_LENGTH_LIMIT:
         raise UsageError(f"--report-missing needs length <= {_MISSING_LENGTH_LIMIT}, got {args.length}")
     specs = _process_specs(args, [] if args.process is None else [args.process], args.t)
-    transient = _transient(args)
     if args.input is not None:
         samples = serialize.read_series(args.input)
         source = args.input
     else:
-        samples = processgen.steady_samples(specs[0], transient)
+        samples = processgen.steady_samples(specs[0], args.transient)
         source = specs[0].kind
 
     dist = run_census(samples, args.length)
@@ -306,7 +318,7 @@ def cmd_pc_curve(args) -> int:
     _check_length(args.length)
     _check_realizations(args.realizations)
     if args.t_grid is not None:
-        for flag, value in (("--t/--t-max", args.t), ("--grid-points", args.grid_points)):
+        for flag, value in (("--t/--t-max", args.top), ("--grid-points", args.grid_points)):
             if value is not None:
                 raise UsageError(f"{flag} shapes the automatic grid; --t-grid replaces it")
         try:
@@ -314,7 +326,9 @@ def cmd_pc_curve(args) -> int:
         except ValueError:
             raise UsageError(f"cannot parse t grid {args.t_grid!r}")
     else:
-        top = 15000 if args.t is None else args.t
+        top = 15000 if args.top is None else args.top
+        if top < args.length:
+            raise UsageError(f"--t/--t-max must be at least the pattern length {args.length}, got {top}")
         points = 40 if args.grid_points is None else args.grid_points
         if points < 1:
             raise UsageError(f"grid points must be >= 1, got {points}")
@@ -344,7 +358,6 @@ def cmd_entropy(args) -> int:
     growth = _growth_from_args(args)
     lengths = _length_range(args)
     _check_realizations(args.realizations)
-    transient = _transient(args)
     grid = [(spec, alpha) for spec in specs for alpha in alphas]
     # One level is pooled, so pools never nest. A grid with more cells than
     # threads runs its cells as the jobs of one pool, each cell's realizations
@@ -357,7 +370,7 @@ def cmd_entropy(args) -> int:
         spec, alpha = grid[i]
         return complexity.entropy_rate(
             spec, growth, alpha, lengths, realizations=args.realizations,
-            transient=transient, workers=cell_workers,
+            transient=args.transient, workers=cell_workers,
         )
 
     rows = []
@@ -381,7 +394,7 @@ def cmd_rate(args) -> int:
     _check_realizations(args.realizations)
     estimate = complexity.entropy_rate(
         spec, growth, alphas[0], lengths, realizations=args.realizations,
-        transient=_transient(args), workers=_workers(),
+        transient=args.transient, workers=_workers(),
     )
     meta = {
         "process": _process_label(spec), "alpha": alphas[0], "class": growth.label,
@@ -394,15 +407,12 @@ def cmd_rate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if (args.input is None) == (args.process is None):
-        raise UsageError("give exactly one of --input or --process")
     specs = _process_specs(args, [] if args.process is None else [args.process], args.t)
-    transient = _transient(args)
     if args.input is not None:
         pairs = _read_growth_pairs(args.input)
     else:
         lengths = _length_range(args)
-        samples = processgen.steady_samples(specs[0], transient)
+        samples = processgen.steady_samples(specs[0], args.transient)
         pairs = [(L, math.log(dist.allowed_count))
                  for L, dist in zip(lengths, census_lengths(samples, lengths))]
     try:

@@ -270,27 +270,44 @@ def _skew_tent_orbit(t: int, y0: float) -> np.ndarray:
 
 
 def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """The first t values of fft(coeff * z).real, z the embedding's Hermitian normal vector.
+
+    That real output r packs as s[p] = r[2p] + i r[2p+1], the length-t DFT of
+    A[k] = h[k] (1 + i w[k]) z[k] + h[t - k] (1 - i w[k]) conj(z[t - k]),
+    so only z[0 .. t] is built, and only s[p] for p < ceil(t/2) is needed.
+    Where t is 5-smooth numpy takes that DFT directly.  Elsewhere Bluestein's
+    identity kp = (k^2 + p^2 - (p - k)^2) / 2 turns it into a chirp product,
+    one circular convolution at a 5-smooth size and a second chirp product.
+    """
     if t == 1:
         return rng.standard_normal(1)
     if hurst == 0.5:
         return rng.standard_normal(t)
-    if _is_5_smooth(2 * t):
-        return _fgn_circulant(_circulant_coefficients(t, hurst), t, rng)
-    return _fgn_chirp(_chirp_plan(t, hurst), t, rng)
+    head, tail, *bluestein = _fgn_plan(t, hurst)
+    z = _hermitian_half(t, rng)
+    # in place where a temporary would be as large as the transform
+    a = head * z[:t]
+    a += tail * np.conj(z[t:0:-1])
+    m = (t + 1) // 2
+    if not bluestein:
+        s = np.fft.fft(a)[:m]
+    else:
+        kernel, twiddle = bluestein
+        spectrum = np.fft.fft(a, kernel.size)
+        spectrum *= kernel
+        s = np.fft.ifft(spectrum)[:m]
+        s *= twiddle
+    return s.view(np.float64)[:t]
 
 
-@functools.lru_cache(maxsize=4)
 def _circulant_coefficients(t: int, hurst: float) -> np.ndarray:
-    """sqrt(eigenvalue / 2t) of the circulant embedding of t fGn samples.
+    """Read-only sqrt(eigenvalue / 2t) of the circulant embedding of t fGn samples.
 
     The embedding's first row is cov[0 .. t-1], a middle entry, cov[t-1 .. 1].
     A middle 0.0 comes first, so the samples drawn from it keep their bits.
     Where that row is not nonnegative definite the middle is cov[t]: the
     minimal embedding of Davies & Harte (1987), nonnegative definite at every
     H (Craigmile 2003 for H <= 1/2, Dietrich & Newsam 1997 above).
-    Realizations of one (t, hurst) with a 5-smooth 2t share the result, hence
-    the cache (at most four arrays of 2t floats stay alive; _chirp_plan reads
-    through __wrapped__ and caches only its plan); the array is read-only.
     """
     cov = fgn_autocovariance(np.arange(t), hurst)
     row = np.concatenate((cov, [0.0], cov[-1:0:-1]))
@@ -325,65 +342,37 @@ def _hermitian_half(t: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def _fgn_circulant(coeff: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    half = _hermitian_half(t, rng)
-    z = np.concatenate((half, np.conj(half[t - 1 : 0 : -1])))
-    return np.fft.fft(coeff * z).real[:t]
-
-
-def _fgn_chirp(plan: tuple, t: int, rng: np.random.Generator) -> np.ndarray:
-    """The first t values of _fgn_circulant's fft(coeff * z).real, from the same draws.
-
-    The real output r of the Hermitian spectrum coeff * z packs as
-    s[p] = r[2p] + i r[2p+1], the length-t DFT of
-    A[k] = h[k] (1 + i w[k]) z[k] + h[t - k] (1 - i w[k]) conj(z[t - k]),
-    so only z[0 .. t] is built, and only s[p] for p < ceil(t/2) is needed.
-    Bluestein's identity kp = (k^2 + p^2 - (p - k)^2) / 2 turns that DFT into
-    a chirp product, one circular convolution at a 5-smooth size and a second
-    chirp product.  _chirp_plan folds every factor that depends only on
-    (t, hurst).
-    """
-    head, tail, kernel, twiddle = plan
-    z = _hermitian_half(t, rng)
-    # in place where a temporary would be as large as the transform
-    a = head * z[:t]
-    a += tail * np.conj(z[t:0:-1])
-    spectrum = np.fft.fft(a, kernel.size)
-    spectrum *= kernel
-    s = np.fft.ifft(spectrum)[: twiddle.size]
-    s *= twiddle
-    return s.view(np.float64)[:t]
-
-
 @functools.lru_cache(maxsize=4)
-def _chirp_plan(t: int, hurst: float) -> tuple:
-    """Read-only (head, tail, kernel, twiddle) of _fgn_chirp for t fGn samples.
+def _fgn_plan(t: int, hurst: float) -> tuple:
+    """Read-only (head, tail) of _fgn_samples, plus (kernel, twiddle) off 5-smooth t.
 
     With h the symmetrised coefficients h[k] = (coeff[k] + coeff[2t - k]) / 2
-    (the real part of the direct FFT sees only that average), w[k] = exp(-i pi k / t)
-    the packing twiddle and c[k] = exp(-i pi k^2 / t) the chirp:
-    head = h[k] (1 + i w[k]) c[k], tail = h[t - k] (1 - i w[k]) c[k],
-    kernel = FFT of conj(c[j]) placed at j mod n for -(t - 1) <= j < ceil(t/2),
-    twiddle = c[p] for p < ceil(t/2).  n is the least 5-smooth size that holds
-    that convolution without wrap-around.  Like _circulant_coefficients, at
-    most four plans stay alive (about 64 bytes per sample each).
+    (the real part of the direct FFT sees only that average) and
+    w[k] = exp(-i pi k / t) the packing twiddle: head = h[k] (1 + i w[k]) and
+    tail = h[t - k] (1 - i w[k]), each times the chirp c[k] = exp(-i pi k^2 / t)
+    off 5-smooth t; kernel = FFT of conj(c[j]) placed at j mod n for
+    -(t - 1) <= j < ceil(t/2), n the least 5-smooth size that holds that
+    convolution without wrap-around; twiddle = c[p] for p < ceil(t/2).
+    At most four plans stay alive: 32 bytes per sample at 5-smooth t, about 64 elsewhere.
     """
-    coeff = _circulant_coefficients.__wrapped__(t, hurst)
+    coeff = _circulant_coefficients(t, hurst)
     h = np.empty(t + 1)
     h[0], h[t] = coeff[0], coeff[t]
     h[1:t] = 0.5 * (coeff[1:t] + coeff[: t : -1])
     k = np.arange(t)
     twist = 1j * np.exp(-1j * np.pi * k / t)
-    # k^2 mod 2t keeps the phase argument small and exact
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * t)) / t)
-    head = h[:t] * (1.0 + twist) * chirp
-    tail = h[t:0:-1] * (1.0 - twist) * chirp
-    m = (t + 1) // 2
-    n = _next_5_smooth(t + m - 1)
-    row = np.zeros(n, dtype=np.complex128)
-    row[:m] = np.conj(chirp[:m])
-    row[n - t + 1 :] = np.conj(chirp[t - 1 : 0 : -1])
-    plan = (head, tail, np.fft.fft(row), chirp[:m].copy())
+    plan = (h[:t] * (1.0 + twist), h[t:0:-1] * (1.0 - twist))
+    if not _is_5_smooth(t):
+        # k^2 mod 2t keeps the phase argument small and exact
+        chirp = np.exp(-1j * np.pi * ((k * k) % (2 * t)) / t)
+        for array in plan:
+            array *= chirp
+        m = (t + 1) // 2
+        n = _next_5_smooth(t + m - 1)
+        row = np.zeros(n, dtype=np.complex128)
+        row[:m] = np.conj(chirp[:m])
+        row[n - t + 1 :] = np.conj(chirp[t - 1 : 0 : -1])
+        plan += (np.fft.fft(row), chirp[:m].copy())
     for array in plan:
         array.flags.writeable = False
     return plan

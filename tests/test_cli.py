@@ -66,6 +66,18 @@ class TestGenerate:
     def test_unknown_process_exit_2(self):
         assert run("generate", "--process", "pink-noise", "--t", "100") == 2
 
+    def test_binary_without_out_exit_2_before_generating(self, capsys, no_work):
+        assert run("generate", "--process", "fgn:0.7", "--t", "2000000", "--format", "binary") == 2
+        assert "usage error: binary output requires --out" in capsys.readouterr().err
+
+    def test_t_and_seed_defaults_are_10000_and_0(self, capsys):
+        outputs = []
+        for extra in ([], ["--t", "10000", "--seed", "0"]):
+            assert run("rate", "--process", "white-noise", "-R", "1", "--l-max", "3", *extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "# t=10000\n" in outputs[0] and "# seed=0\n" in outputs[0]
+
 
 @pytest.fixture
 def no_work(monkeypatch):
@@ -223,6 +235,20 @@ class TestCensus:
         assert run(*command, "--input", "missing.csv", "--transient", "500") == 2
         assert "usage error: --transient applies to a --process series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        (["census", "-L", "3"], ["--t", "50"]), (["census", "-L", "3"], ["--seed", "9"]),
+        (["classify"], ["--t", "9"]), (["classify"], ["--seed", "4"]),
+        (["classify"], ["--l-min", "5"]), (["classify"], ["--l-max", "6"]),
+    ], ids=["census-t", "census-seed", "classify-t", "classify-seed", "classify-l-min",
+            "classify-l-max"])
+    def test_series_option_with_input_exit_2_before_any_read(self, capsys, tmp_path, no_work,
+                                                             command, option):
+        series = tmp_path / "series.csv"
+        series.write_text("3,1.0\n4,2.0\n5,3.0\n")
+        assert run(*command, "--input", str(series), *option) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: {option[0]} applies to a --process series, not to --input" in err
+
     def test_input_and_process_conflict(self):
         assert run("census", "--input", "x.csv", "--process", "white-noise",
                    "--length", "3") == 2
@@ -284,6 +310,14 @@ class TestPcCurve:
             run("pc-curve", "--help")
         text = " ".join(capsys.readouterr().out.split())
         assert "--t T top of the automatic grid (default 15000)" in text
+
+    @pytest.mark.parametrize("option", [["--t", "0"], ["--t", "-5"], ["--t-max", "2"]],
+                             ids=["t-0", "t-negative", "t-max-below-L"])
+    def test_grid_top_below_the_length_exit_2(self, capsys, no_work, option):
+        assert run("pc-curve", "--process", "white-noise", "--length", "3", *option) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: --t/--t-max must be at least the pattern length 3, got {option[1]}" in err
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_grid_points_below_1_exit_2(self, capsys, points):

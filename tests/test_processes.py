@@ -1,5 +1,6 @@
 """Reference process generators: determinism and distributional checks."""
 
+import hashlib
 import inspect
 import math
 
@@ -216,22 +217,21 @@ class TestFgnCovariance:
 
     @pytest.mark.parametrize("make", [fgn, fbm], ids=["fgn", "fbm"])
     def test_cached_embedding_gives_the_same_samples(self, make):
-        from ordent.processgen import _chirp_plan, _circulant_coefficients
+        from ordent.processgen import _fgn_plan
 
-        # fgn's 6000-point embedding is 5-smooth; fbm's 5998-point one takes
-        # the chirp path, which caches its plan and no coefficients
-        cache = _circulant_coefficients if make is fgn else _chirp_plan
+        # fgn draws 3000 samples, a 5-smooth length, so its plan is (head, tail);
+        # fbm draws 2999 increments, whose plan adds Bluestein's kernel and twiddle
         spec = make(3_000, hurst=0.3, seed=21)
-        _circulant_coefficients.cache_clear()
-        _chirp_plan.cache_clear()
+        _fgn_plan.cache_clear()
         first = generate(spec).samples
-        assert cache.cache_info().currsize == 1
-        assert _circulant_coefficients.cache_info().currsize == (make is fgn)
+        assert _fgn_plan.cache_info().currsize == 1
         second = generate(spec).samples
-        assert cache.cache_info().hits >= 1
+        assert _fgn_plan.cache_info().currsize == 1
+        assert _fgn_plan.cache_info().hits == 1
         assert np.array_equal(first, second)
-        coeff = _circulant_coefficients(spec.t - (make is fbm), 0.3)
-        assert not coeff.flags.writeable
+        plan = _fgn_plan(spec.t - (make is fbm), 0.3)
+        assert len(plan) == (2 if make is fgn else 4)
+        assert not any(array.flags.writeable for array in plan)
 
 
 GRID_HURST = np.round(np.arange(0.01, 1.0, 0.01), 2).tolist()
@@ -272,11 +272,17 @@ class TestCirculantEmbedding:
 
 
 def direct_fgn(t, hurst, seed):
-    """fGn by the full-length FFT of the circulant embedding, from generate's draws."""
-    from ordent.processgen import _circulant_coefficients
+    """fGn by the full-length FFT of the circulant embedding, from generate's draws.
 
+    The embedding row has 0.0 in the middle where that row is nonnegative
+    definite, else cov[t]; its eigenvalues are the row's full-length FFT."""
+    cov = fgn_autocovariance(np.arange(t), hurst)
+    eigenvalues = np.fft.fft(np.concatenate((cov, [0.0], cov[-1:0:-1]))).real
+    if (eigenvalues < -1e-9 * eigenvalues.max()).any():
+        cov_t = fgn_autocovariance([t], hurst)
+        eigenvalues = np.fft.fft(np.concatenate((cov, cov_t, cov[-1:0:-1]))).real
+    coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t))
     rng = np.random.default_rng(seed)
-    coeff = _circulant_coefficients(t, hurst)
     z = np.empty(2 * t, dtype=np.complex128)
     z[0] = rng.standard_normal()
     z[t] = rng.standard_normal()
@@ -288,9 +294,11 @@ def direct_fgn(t, hurst, seed):
 
 
 class TestChirpTransform:
-    # 2t is not 5-smooth: odd and even t, prime (7, 11, 4999) and composite;
-    # at t = 7 and 11 the minimal (cov[t]) row is in use from H = 0.8 on
-    @pytest.mark.parametrize("t", [7, 11, 14, 4998, 4999, 14999, 59999])
+    # t not 5-smooth (Bluestein): odd and even, prime (7, 11, 4999) and composite;
+    # t 5-smooth (numpy's direct DFT): 2, 3, 1000, 6000, 15000, 60000;
+    # at H = 0.95 and t = 2, 3, 7 and 11 the minimal (cov[t]) row is in use
+    @pytest.mark.parametrize("t", [7, 11, 14, 4998, 4999, 14999, 59999,
+                                   2, 3, 1_000, 6_000, 15_000, 60_000])
     @pytest.mark.parametrize("hurst", [0.2, 0.7, 0.95])
     def test_matches_the_direct_transform(self, t, hurst):
         x = generate(fgn(t, hurst, seed=t)).samples
@@ -298,17 +306,29 @@ class TestChirpTransform:
         assert x.shape == (t,)
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("t", [2, 3, 1_000, 6_000])
-    @pytest.mark.parametrize("hurst", [0.2, 0.7, 0.95])
-    def test_5_smooth_embedding_keeps_its_bits(self, t, hurst):
-        assert np.array_equal(generate(fgn(t, hurst, seed=9)).samples, direct_fgn(t, hurst, 9))
+    @pytest.mark.parametrize("spec, sha256", [
+        (fgn(4_999, 0.7, seed=9),
+         "aabce196bb8e2f5052c9d29820691ea70f20ac8d3134110fc468b0c3a67017d7"),
+        (fbm(60_000, 0.7, seed=0),  # the entropy-sweep draw: 59,999 increments
+         "d3324755bcb2fc26c3664e8ee97fc39a224d56e497a5e936dd995f44396c6b38"),
+    ], ids=["fgn-4999", "fbm-60000"])
+    def test_lengths_off_5_smooth_keep_their_bits(self, spec, sha256):
+        samples = generate(spec).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == sha256
 
+    # fbm(t) draws t - 1 increments: 59,999 is prime and 60,000 is 5-smooth
+    @pytest.mark.parametrize("make, t, hurst", [(fbm, 60_000, 0.7), (fgn, 60_000, 0.75),
+                                                (fbm, 60_001, 0.7)],
+                             ids=["fbm-60000", "fgn-60000", "fbm-60001"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fbm_census_is_unchanged(self, seed):
+    def test_fbm_census_is_unchanged(self, make, t, hurst, seed):
         from ordent import census_lengths
 
-        direct = np.concatenate(([0.0], np.cumsum(direct_fgn(59_999, 0.7, seed))))
-        got = census_lengths(generate(fbm(60_000, 0.7, seed=seed)).samples, range(3, 8))
+        if make is fbm:
+            direct = np.concatenate(([0.0], np.cumsum(direct_fgn(t - 1, hurst, seed))))
+        else:
+            direct = direct_fgn(t, hurst, seed)
+        got = census_lengths(generate(make(t, hurst, seed=seed)).samples, range(3, 8))
         want = census_lengths(direct, range(3, 8))
         for a, b in zip(got, want):
             assert np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
@@ -328,9 +348,9 @@ class TestChirpTransform:
         assert got.tobytes() == want.tobytes()
 
     def test_plan_is_read_only(self):
-        from ordent.processgen import _chirp_plan
+        from ordent.processgen import _fgn_plan
 
-        plan = _chirp_plan(4_999, 0.7)
+        plan = _fgn_plan(4_999, 0.7)
         assert plan[2].size == 7_500  # least 5-smooth size >= 4999 + 2500 - 1
         assert not any(array.flags.writeable for array in plan)
 
