@@ -444,22 +444,23 @@ def cmd_oracle(args) -> int:
             {
                 "ranks": list(pattern),
                 "intervals": [[a, b] for a, b in intervals],
-                "measure": logistic_exact.measure_of(intervals),
+                "measure": cells.measure[pattern],
             }
             for pattern, intervals in cells.cells
         ]
         payload["boundaries"] = cells.boundaries()
     if args.what in ("transitions", "both"):
         matrix = logistic_exact.exact_transition_probs(args.length)
+        rows = [(src, sorted(row.items())) for src, row in sorted(matrix.rows.items())]
+        # one decode for the table: each source's ranks, then its targets', in output order
+        codes = [code for src, row in rows for code in (src, *(dst for dst, _ in row))]
+        ranks = iter(decode_pattern(np.array(codes), args.length).tolist())
         payload["transitions"] = [
             {
-                "source": list(decode_pattern(src, args.length)),
-                "targets": [
-                    {"ranks": list(decode_pattern(dst, args.length)), "probability": prob}
-                    for dst, prob in sorted(row.items())
-                ],
+                "source": next(ranks),
+                "targets": [{"ranks": next(ranks), "probability": prob} for _, prob in row],
             }
-            for src, row in sorted(matrix.rows.items())
+            for _, row in rows
         ]
     serialize.write_json(args.out, payload)
     return 0

@@ -70,7 +70,7 @@ def _positive(p: np.ndarray) -> np.ndarray:
 def shannon(p) -> float:
     """-sum p_i ln p_i, with 0 ln 0 taken as 0."""
     q = _positive(probabilities_of(p))
-    return float(-np.dot(q, np.log(q)))
+    return float(-np.dot(q, np.log(q))) + 0.0  # + 0.0: a point mass gives 0.0, not -0.0
 
 
 def renyi(p, alpha: float) -> float:
@@ -81,7 +81,7 @@ def renyi(p, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         return shannon(q)
     s = float(np.sum(_positive(q) ** alpha))
-    return math.log(s) / (1.0 - alpha)
+    return math.log(s) / (1.0 - alpha) + 0.0
 
 
 def tsallis(p, alpha: float) -> float:
@@ -92,7 +92,7 @@ def tsallis(p, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         return shannon(q)
     s = float(np.sum(_positive(q) ** alpha))
-    return (s - 1.0) / (1.0 - alpha)
+    return (s - 1.0) / (1.0 - alpha) + 0.0
 
 
 def two_param_entropy(p, alpha: float, beta: float) -> float:

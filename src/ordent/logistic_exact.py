@@ -14,7 +14,7 @@ all follow from that one piecewise-affine law (``_tent_law``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -101,11 +101,16 @@ def _tent_law(length: int):
     return y, codes_at(piece, num, den), codes_at(piece[:-1], mid_num, mid_den)
 
 
+def _probabilities(y: np.ndarray, codes: np.ndarray):
+    """The segment codes that occur, ascending, and the y-widths of their segments summed."""
+    distinct, which = np.unique(codes, return_inverse=True)
+    return distinct, np.bincount(which, weights=np.diff(y))
+
+
 def _law(length: int):
     """The codes of positive probability, ascending, and their probabilities."""
     y, _, codes = _tent_law(length)
-    distinct, which = np.unique(codes, return_inverse=True)
-    return distinct, np.bincount(which, weights=np.diff(y))
+    return _probabilities(y, codes)
 
 
 @dataclass
@@ -116,12 +121,14 @@ class OrdinalCellSet:
     shared breakpoint belongs to follows from the tie rule (evaluate the
     orbit pattern at the point itself), recorded in ``boundary_owner``.
     Isolated points whose pattern matches neither neighbor appear as
-    degenerate [x, x] intervals.
+    degenerate [x, x] intervals.  ``measure`` holds each cell's arcsine
+    measure: the y-widths of its segments, summed as ``_law`` sums them.
     """
 
     length: int
     cells: List[Tuple[OrdinalPattern, List[Interval]]]
     boundary_owner: Dict[float, OrdinalPattern]
+    measure: Dict[OrdinalPattern, float] = field(default_factory=dict)
 
     def intervals_for(self, pattern) -> List[Interval]:
         key = tuple(pattern)
@@ -139,7 +146,7 @@ class OrdinalCellSet:
         return [p for p in pts if 0.0 < p < 1.0]
 
     def measures(self) -> Dict[OrdinalPattern, float]:
-        return {pat: measure_of(iv) for pat, iv in self.cells}
+        return dict(self.measure)
 
 
 def ordinal_cells(length: int) -> OrdinalCellSet:
@@ -156,44 +163,25 @@ def ordinal_cells(length: int) -> OrdinalCellSet:
     merged = codes[ends[:-1]]
     owner = at[ends]
     isolated = (owner != np.append(merged, -1)) & (owner != np.insert(merged, 0, -1))
-    patterns = [tuple(r) for r in decode_pattern(np.append(merged, owner), length).tolist()]
 
-    cell_map: Dict[OrdinalPattern, List[Interval]] = {}
-    for pat, a, b in zip(patterns, x[:-1], x[1:]):
-        cell_map.setdefault(pat, []).append((a, b))
-    owners = patterns[merged.size:]
-    for pat, point, alone in zip(owners, x, isolated.tolist()):
+    cell_map: Dict[int, List[Interval]] = {}
+    for code, a, b in zip(merged.tolist(), x[:-1], x[1:]):
+        cell_map.setdefault(code, []).append((a, b))
+    for code, point, alone in zip(owner.tolist(), x, isolated.tolist()):
         if alone:  # a tie point whose pattern matches neither neighboring cell
-            cell_map.setdefault(pat, []).append((point, point))
-
+            cell_map.setdefault(code, []).append((point, point))
     cells = sorted(cell_map.items(), key=lambda kv: kv[1][0][0])
+
+    # a cell of tie points alone has no segment, so no width: measure 0
+    law = dict(zip(*(a.tolist() for a in _probabilities(y, codes))))
+    ranks = decode_pattern(np.append([code for code, _ in cells], owner), length)
+    patterns = [tuple(r) for r in ranks.tolist()]
     return OrdinalCellSet(
         length=length,
-        cells=[(pat, sorted(iv)) for pat, iv in cells],
-        boundary_owner=dict(zip(x, owners)),
+        cells=[(pat, sorted(iv)) for pat, (_, iv) in zip(patterns, cells)],
+        boundary_owner=dict(zip(x, patterns[len(cells):])),
+        measure={pat: law.get(code, 0.0) for pat, (code, _) in zip(patterns, cells)},
     )
-
-
-def _preimage(interval: Interval) -> List[Interval]:
-    """The two monotone-branch preimages of [c, d] under x -> 4x(1-x)."""
-    c, d = interval
-    c = min(max(c, 0.0), 1.0)
-    d = min(max(d, 0.0), 1.0)
-    sc = math.sqrt(max(1.0 - c, 0.0))
-    sd = math.sqrt(max(1.0 - d, 0.0))
-    left = ((1.0 - sc) / 2.0, (1.0 - sd) / 2.0)
-    right = ((1.0 + sd) / 2.0, (1.0 + sc) / 2.0)
-    return [left, right]
-
-
-def preimage_intervals(intervals: Sequence[Interval]) -> List[Interval]:
-    """Preimage of a union of intervals under the full-range map."""
-    out: List[Interval] = []
-    for iv in intervals:
-        for pre in _preimage(iv):
-            if pre[1] > pre[0]:
-                out.append(pre)
-    return sorted(out)
 
 
 def exact_transition_probs(length: int) -> TransitionMatrix:

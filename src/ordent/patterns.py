@@ -89,7 +89,10 @@ def pattern_of(window: Sequence[float]) -> OrdinalPattern:
 
 
 def validate_pattern(pattern: Sequence[int]) -> tuple:
-    p = tuple(int(v) for v in pattern)
+    ranks = np.array(tuple(pattern))
+    if ranks.dtype.kind not in "iu" and ranks.size:  # floats are refused, not truncated
+        raise ValueError(f"pattern ranks must be integers, got {tuple(ranks.tolist())}")
+    p = tuple(ranks.tolist())
     if sorted(p) != list(range(len(p))):
         raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
     check_length(len(p))
@@ -114,6 +117,10 @@ def decode_pattern(code, length: int):
     bad = (codes < 0) | (codes >= factorial(length))
     if bad.any():
         raise ValueError(f"code {codes[bad][0]} out of range for length {length}")
+    if codes.dtype.kind not in "iu":
+        if codes.size:  # an empty list comes in as float64 and decodes to no rows
+            raise ValueError(f"pattern codes must be integers, got {codes.reshape(-1)[0]}")
+        codes = codes.astype(np.int64)
     if codes.ndim == 0:
         return tuple(int(c) for c in _lehmer_columns(np.int64(codes), length))
     return np.column_stack(_lehmer_columns(codes.reshape(-1), length))

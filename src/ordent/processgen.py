@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -178,11 +179,12 @@ def generate(spec: ProcessSpec) -> TimeSeries:
     elif spec.kind == FBM:
         increments = _fgn_samples(t - 1, spec.hurst, rng)
         x = np.concatenate(([0.0], np.cumsum(increments)))
-    elif spec.kind == LOGISTIC:
-        x = _logistic_orbit(t, spec.a, spec.x0)
-    elif spec.kind == NOISY_LOGISTIC:
+    elif spec.kind in (LOGISTIC, NOISY_LOGISTIC):  # logistic has no eps: no noise
         a = spec.a if spec.a_range is None else rng.uniform(*spec.a_range)
-        noise = rng.uniform(-spec.eps, spec.eps, t - 1) if spec.eps > 0 else np.zeros(t - 1)
+        if spec.eps:
+            noise = rng.uniform(-spec.eps, spec.eps, t - 1).tolist()
+        else:
+            noise = itertools.repeat(0.0, t - 1)
         x = _noisy_logistic_orbit(t, a, spec.x0, noise)
     elif spec.kind == NOISY_CUBIC:
         y = _cubic_orbit(t, spec.y0)
@@ -204,22 +206,13 @@ def steady_samples(spec: ProcessSpec, transient: Optional[int] = None) -> np.nda
     return generate(replace_spec(spec, t=spec.t + transient)).samples[transient:]
 
 
-def _logistic_orbit(t: int, a: float, x0: float) -> np.ndarray:
-    x = np.empty(t)
-    v = x0
-    x[0] = v
-    for i in range(1, t):
-        v = a * v * (1.0 - v)
-        x[i] = v
-    return x
-
-
-def _noisy_logistic_orbit(t: int, a: float, x0: float, noise: np.ndarray) -> np.ndarray:
+def _noisy_logistic_orbit(t: int, a: float, x0: float, noise: Iterable[float]) -> np.ndarray:
+    """x0 and t - 1 steps of x -> a x (1 - x) + e, one e of ``noise`` (Python floats) each."""
     x = np.empty(t)
     v = x0
     x[0] = v
     # step on Python floats: numpy scalar arithmetic is two to four times slower
-    for i, e in enumerate(noise.tolist(), start=1):
+    for i, e in enumerate(noise, start=1):
         v = a * v * (1.0 - v) + e
         # noise can push the state out of [0, 1], where the map diverges
         if v < 0.0:

@@ -477,6 +477,15 @@ class TestOracle:
         assert probs[(0, 2, 1)] == pytest.approx(0.1, abs=1e-9)
         assert probs[(2, 0, 1)] == pytest.approx(0.4, abs=1e-9)
 
+    @pytest.mark.parametrize("argv, sha256", [
+        ("oracle --length 3", "e0fe0a4701bb18bc44853c3a4a5f35435d5484554969431f34a935a03e3a97bf"),
+        ("oracle --length 9 --what transitions",
+         "04cacfc0fd3415ba3857258b2cf3e4667a7504fc4f5c08e63bc4d3b18cc4a09f"),
+    ], ids=["L3", "L9-transitions"])
+    def test_golden_json_bytes(self, capsys, argv, sha256):
+        assert run(*argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     def test_unsupported_length_exit_2(self):
         assert run("oracle", "--length", "15") == 2
 

@@ -47,6 +47,18 @@ class TestShannon:
             shannon([1.2, -0.2])
 
 
+@pytest.mark.parametrize("entropy", [
+    shannon,
+    lambda p: renyi(p, 2.0),
+    lambda p: renyi(p, 0.5),
+    lambda p: tsallis(p, 2.0),
+    lambda p: tsallis(p, 0.5),
+], ids=["shannon", "renyi-2", "renyi-0.5", "tsallis-2", "tsallis-0.5"])
+def test_point_mass_is_positive_zero(entropy):
+    value = entropy([1.0])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestRenyi:
     def test_uniform_is_log_w(self, rng):
         for alpha in (0.25, 0.5, 1.0, 2.0, 7.5):

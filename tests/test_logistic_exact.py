@@ -10,13 +10,13 @@ import pytest
 from ordent import (
     arcsine_cdf,
     census_lengths,
+    decode_pattern,
     encode_pattern,
     exact_transition_probs,
     generate,
     logistic,
     measure_of,
     ordinal_cells,
-    preimage_intervals,
     transition_matrix,
 )
 from ordent.cli import main as cli_main
@@ -139,14 +139,22 @@ class TestOrdinalCells:
             ordinal_cells(1)
 
 
-class TestMeasureInvariance:
-    def test_preimage_has_equal_measure(self):
-        # the stationary density satisfies mu(f^-1 A) = mu(A)
-        cells = ordinal_cells(3)
+class TestCellMeasures:
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_measures_are_the_law(self, length):
+        # each cell's measure is its pattern's law probability; a cell of tie points alone has 0
+        cells = ordinal_cells(length)
+        measures = cells.measures()
+        codes, probs = _law(length)
+        law = dict(zip(map(tuple, decode_pattern(codes, length).tolist()), probs.tolist()))
         for pattern, intervals in cells.cells:
-            mu = measure_of(intervals)
-            pre = preimage_intervals(intervals)
-            assert measure_of(pre) == pytest.approx(mu, abs=1e-10), pattern
+            expected = 0.0 if all(a == b for a, b in intervals) else law[pattern]
+            assert measures[pattern] == expected, pattern
+        assert len(measures) == len(cells.cells)
+        assert abs(math.fsum(measures.values()) - 1.0) <= 1e-15
+        # the arcsine CDF of the cell ends agrees, to its own rounding
+        for pattern, intervals in cells.cells:
+            assert abs(measures[pattern] - measure_of(intervals)) <= 1e-12, pattern
 
 
 class TestExactTransitions:

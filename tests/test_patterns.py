@@ -116,6 +116,19 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_pattern(np.array([-1]), 3)
 
+    def test_refuses_non_integral_input(self):
+        # refused, not truncated to the codes 2, 1 and 4 or the ranks (0, 1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            decode_pattern(2.5, 3)
+        with pytest.raises(ValueError, match="integers"):
+            decode_pattern(np.array([1.7, 4.2]), 3)
+        with pytest.raises(ValueError, match="integers"):
+            encode_pattern((0.0, 1.9, 2.2))
+
+    def test_empty_input_decodes_to_no_rows(self):
+        assert decode_pattern([], 3).shape == (0, 3)
+        assert decode_pattern(np.array([], dtype=np.int64), 3).shape == (0, 3)
+
     def test_length_cap(self):
         with pytest.raises(ValueError):
             decode_pattern(0, MAX_PATTERN_LENGTH + 1)

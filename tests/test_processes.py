@@ -140,6 +140,18 @@ class TestLogistic:
         x = generate(logistic(4, a=4.0, x0=0.3)).samples
         assert x == pytest.approx([0.3, 0.84, 0.5376, 0.99434496], abs=1e-12)
 
+    @pytest.mark.parametrize("a, x0", [
+        (4.0, 0.3), (4.0, 0.0), (4.0, 0.5), (4.0, 1.0), (math.nextafter(4.0, 0.0), 0.3),
+        (math.nextafter(4.0, 0.0), 0.5), (3.7, 0.61), (2.5, 0.9),
+    ])
+    def test_orbit_is_the_plain_map_loop(self, a, x0):
+        # drawn through the noisy loop with zero noise, whose clamp never fires at a <= 4
+        expected = [x0]
+        for _ in range(4_999):
+            expected.append(a * expected[-1] * (1.0 - expected[-1]))
+        x = generate(logistic(5_000, a=a, x0=x0)).samples
+        assert x.tobytes() == np.array(expected).tobytes()
+
     def test_stays_in_unit_interval(self):
         x = generate(logistic(100_000, x0=0.3)).samples
         assert x.min() >= 0.0 and x.max() <= 1.0
