@@ -283,23 +283,17 @@ def cmd_census(args) -> int:
         "log_max_patterns": math.lgamma(args.length + 1.0),
         "source": source,
     }
-    ranks = decode_pattern(dist.codes, args.length)
+    columns = ("code", "ranks", "count", "probability")
+    table = (dist.codes, decode_pattern(dist.codes, args.length), dist.counts, dist.probs)
     caveat = "missing patterns are not necessarily forbidden"
 
     if args.format == "json":
-        payload = {
-            "meta": meta,
-            "patterns": [
-                {"code": c, "ranks": r, "count": n, "probability": q}
-                for c, r, n, q in zip(dist.codes.tolist(), ranks.tolist(),
-                                      dist.counts.tolist(), dist.probs.tolist())
-            ],
-        }
+        payload = {"meta": meta, "patterns": serialize.json_records(columns, table)}
         if args.report_missing:
             payload["missing"] = (
-                [{"code": c, "ranks": r}
-                 for c, r in zip(codes.tolist(), decode_pattern(codes, args.length).tolist())]
-                for codes in missing_code_blocks(dist, serialize._BLOCK)
+                records for codes in missing_code_blocks(dist, serialize._BLOCK)
+                for records in serialize.json_records(
+                    ("code", "ranks"), (codes, decode_pattern(codes, args.length)))
             )
             payload["caveat"] = caveat
         serialize.write_json(args.out, payload)
@@ -309,8 +303,7 @@ def cmd_census(args) -> int:
                 missing_code_blocks(dist, serialize._BLOCK),
                 lambda codes: decode_pattern(codes, args.length))
             meta["caveat"] = caveat
-        serialize.write_table_csv(args.out, ("code", "ranks", "count", "probability"),
-                                  (dist.codes, ranks, dist.counts, dist.probs), meta)
+        serialize.write_table_csv(args.out, columns, table, meta)
     return 0
 
 
@@ -440,14 +433,9 @@ def cmd_oracle(args) -> int:
     payload: dict = {"L": args.length}
     if args.what in ("cells", "both"):
         cells = logistic_exact.ordinal_cells(args.length)
-        payload["cells"] = [
-            {
-                "ranks": list(pattern),
-                "intervals": [[a, b] for a, b in intervals],
-                "measure": cells.measure[pattern],
-            }
-            for pattern, intervals in cells.cells
-        ]
+        patterns = cells.patterns()
+        table = (patterns, [iv for _, iv in cells.cells], [cells.measure[p] for p in patterns])
+        payload["cells"] = serialize.json_records(("ranks", "intervals", "measure"), table)
         payload["boundaries"] = cells.boundaries()
     if args.what in ("transitions", "both"):
         matrix = logistic_exact.exact_transition_probs(args.length)
@@ -468,10 +456,11 @@ def cmd_oracle(args) -> int:
 
 def _write_rows(args, columns: Sequence[str], rows: list, meta: dict) -> None:
     """A command's table as CSV with '#' metadata comments, or as JSON meta plus rows."""
+    table = list(zip(*rows))
     if args.format == "json":
-        serialize.write_json(args.out, {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]})
+        serialize.write_json(args.out, {"meta": meta, "rows": serialize.json_records(columns, table)})
     else:
-        serialize.write_table_csv(args.out, columns, zip(*rows), meta)
+        serialize.write_table_csv(args.out, columns, table, meta)
 
 
 def _check_length(length: int) -> None:

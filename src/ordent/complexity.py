@@ -285,7 +285,7 @@ def classify_growth(data) -> GrowthFit:
     literally ln L! would otherwise be scored as sub-factorial with a badly
     biased constant.  Among c * L ln L fits, c >= 0.9 is reported as
     factorial and 0 < c < 0.9 as sub-factorial.  Every L must be a pattern
-    length (2..MAX_PATTERN_LENGTH).
+    length (2..MAX_PATTERN_LENGTH), given once.
     """
     pairs = _as_growth_pairs(data)
     for L, _ in pairs:
@@ -332,5 +332,7 @@ def _as_growth_pairs(data) -> list:
             pairs.append((int(L), float(y)))
     seen = {}
     for L, y in pairs:
+        if L in seen:
+            raise ValueError(f"length {L} repeated")
         seen[L] = y
     return sorted(seen.items())

@@ -107,7 +107,7 @@ def two_param_entropy(p, alpha: float, beta: float) -> float:
         raise ValueError("beta must be nonzero")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    return beta * (s ** (1.0 / (beta * (1.0 - alpha))) - 1.0)
+    return beta * (s ** (1.0 / (beta * (1.0 - alpha))) - 1.0) + 0.0
 
 
 def z_ab_entropy(p, alpha: float, a: float, b: float) -> float:
@@ -124,7 +124,7 @@ def z_ab_entropy(p, alpha: float, a: float, b: float) -> float:
         raise ValueError("at least one of a, b must be positive")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    return (s**a - s**b) / ((a - b) * (1.0 - alpha))
+    return (s**a - s**b) / ((a - b) * (1.0 - alpha)) + 0.0
 
 
 def lambert_w0(x):
@@ -274,7 +274,7 @@ def z_entropy_general(p, group_log: GroupLogarithm, alpha: float) -> float:
         raise ValueError("alpha = 1 not supported by the generic form; use a class entropy")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    return float(group_log.G(math.log(s))) / (1.0 - alpha)
+    return float(group_log.G(math.log(s))) / (1.0 - alpha) + 0.0
 
 
 def relative_z(p, q, group_log: GroupLogarithm, alpha: float) -> float:
@@ -295,4 +295,4 @@ def relative_z(p, q, group_log: GroupLogarithm, alpha: float) -> float:
     if (pv <= 0).any() or (qv <= 0).any():
         raise ValueError("relative entropy requires strictly positive entries")
     s = float(np.sum(pv**alpha * qv ** (1.0 - alpha)))
-    return float(group_log.G(math.log(s) / (alpha - 1.0)))
+    return float(group_log.G(math.log(s) / (alpha - 1.0))) + 0.0

@@ -481,7 +481,9 @@ class TestOracle:
         ("oracle --length 3", "e0fe0a4701bb18bc44853c3a4a5f35435d5484554969431f34a935a03e3a97bf"),
         ("oracle --length 9 --what transitions",
          "04cacfc0fd3415ba3857258b2cf3e4667a7504fc4f5c08e63bc4d3b18cc4a09f"),
-    ], ids=["L3", "L9-transitions"])
+        ("oracle --length 9 --what cells",
+         "f005fd7c9ddaad1c569d87c4896fe5c3044d79487e6db743ad1b563a1b26fa83"),
+    ], ids=["L3", "L9-transitions", "L9-cells"])
     def test_golden_json_bytes(self, capsys, argv, sha256):
         assert run(*argv.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
@@ -670,14 +672,20 @@ class TestEntryPoint:
      "834ef912552defcefceac3f686d76851620b46338a85e6955351374f47f27dc2"),
     ("census --process white-noise --t 2000 --length 8 --report-missing",
      "cf5844133ac72f6c3f015dd47143fe3ae6223a1048cc8c650f9c9b9919e07be0"),
+    ("census --process white-noise --t 20000 --length 5 --format json",
+     "acf11df35176430b26cd1761a6ec436bb84650142d268f37de6a258257586199"),
+    ("census --process white-noise --t 2000 --length 8 --report-missing --format json",
+     "b230cfc7c41782eafc707bb1a92417acdd98713badb3fe8ad19fe5e5ed57e104"),
     ("generate --process white-noise --t 2000",
      "b2a28b5510b0dee540a1d9cc938351b0fd7d3d225908a3d536022808651287fa"),
     ("generate --process noisy-logistic --t 2000",
      "a3cb48627e4b26c386de62fc0a6faab3cc0cfdb2a1ad1d735f72a97ab76b59d1"),
-], ids=["census-L5", "census-L8-missing", "generate", "generate-noisy-logistic"])
+], ids=["census-L5", "census-L8-missing", "census-L5-json", "census-L8-missing-json", "generate",
+         "generate-noisy-logistic"])
 def test_golden_csv_bytes(capsys, argv, sha256):
-    """Pinned CSV output. These runs rest only on the PCG64 uniform stream,
-    integer counts and IEEE float arithmetic, not on FFTs or libm."""
+    """Pinned CSV output, and the JSON form of the census tables. These runs
+    rest only on the PCG64 uniform stream, integer counts and IEEE float
+    arithmetic, not on FFTs or libm."""
     assert run(*argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 

@@ -333,6 +333,11 @@ class TestClassifyGrowth:
         with pytest.raises(ValueError):
             classify_growth([(3, 1.0), (4, 2.0)])
 
+    def test_rejects_a_repeated_length(self):
+        # one residual per input point, so no point may be dropped for another
+        with pytest.raises(ValueError, match="length 3 repeated"):
+            classify_growth([(3, 1.0), (3, 5.0), (4, 2.0), (5, 3.0)])
+
     @pytest.mark.parametrize("length", [0, -3, 1, 21])
     def test_rejects_lengths_outside_the_pattern_range(self, length):
         data = [(length, 0.0)] + [(L, math.lgamma(L + 1.0)) for L in range(3, 6)]

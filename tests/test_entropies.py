@@ -53,7 +53,12 @@ class TestShannon:
     lambda p: renyi(p, 0.5),
     lambda p: tsallis(p, 2.0),
     lambda p: tsallis(p, 0.5),
-], ids=["shannon", "renyi-2", "renyi-0.5", "tsallis-2", "tsallis-0.5"])
+    lambda p: two_param_entropy(p, 0.5, -2.0),
+    lambda p: z_ab_entropy(p, 0.5, 0.5, 1.5),
+    lambda p: z_entropy_general(p, identity_group_log(), 2.0),
+    lambda p: relative_z(p, p, identity_group_log(), 0.5),
+], ids=["shannon", "renyi-2", "renyi-0.5", "tsallis-2", "tsallis-0.5",
+        "two-param-beta<0", "z-ab-a<b", "z-general-alpha>1", "relative-z"])
 def test_point_mass_is_positive_zero(entropy):
     value = entropy([1.0])
     assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -190,6 +190,50 @@ def test_json_array_from_blocks(blocks):
     assert buf.getvalue() == reference_json({"meta": {"L": 3}, "rows": joined, "after": [[], {}]})
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+def test_json_records_match_reference(monkeypatch, n):
+    monkeypatch.setattr(serialize, "_BLOCK", 3)
+    codes = np.arange(n, dtype=np.int64) * 5 - 2**40
+    ranks = decode_pattern(np.arange(n) * 7, 5)
+    values = np.array([-0.0, 5e-324, 1e308] * 3)[:n]
+    labels = np.array(["fbm:0.7", "é", ""] * 3)[:n]
+    intervals = tuple(((0.25 * i, 0.5), (1.0, 1.0)) for i in range(n))
+    columns = ("code", "ranks", "value", "label", "intervals")
+    table = (codes, ranks, values, labels, intervals)
+    assert [len(b) for b in serialize.json_records(columns, table)] == [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+    records = [
+        {"code": int(codes[i]), "ranks": [int(r) for r in ranks[i]], "value": float(values[i]),
+         "label": str(labels[i]), "intervals": intervals[i]}
+        for i in range(n)
+    ]
+    buf = io.StringIO()
+    serialize.write_json(buf, {"rows": serialize.json_records(columns, table)})
+    assert buf.getvalue() == reference_json({"rows": records})
+
+
+@pytest.mark.parametrize("argv", [
+    "census --process logistic --t 2000 --length 5 --format json",
+    "census --process logistic --t 2000 --length 5 --report-missing --format json",
+    "oracle --length 5 --what cells",
+    "rate --process white-noise --t 2000 --l-min 2 --l-max 5 --format json",
+])
+def test_json_tables_reach_the_encoder_a_block_at_a_time(capsys, monkeypatch, argv):
+    monkeypatch.setattr(serialize, "_BLOCK", 3)
+    nested, sizes = serialize._nested_json, []
+
+    def spy(value):
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            sizes.append(len(value))
+        return nested(value)
+
+    monkeypatch.setattr(serialize, "_nested_json", spy)
+    assert main(argv.split()) == 0
+    document = json.loads(capsys.readouterr().out)
+    tables = [v for v in document.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+    assert sum(sizes) == sum(map(len, tables)) > 3
+    assert max(sizes) <= 3
+
+
 @pytest.mark.parametrize("block", [3, 1 << 14])
 @pytest.mark.parametrize("process, t, length", [
     ("logistic", 5000, 5),  # missing patterns, across many blocks of 3 codes
