@@ -145,7 +145,8 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 def _process_specs(args, tokens: Sequence[str], t: int) -> List[processgen.ProcessSpec]:
     """One spec per --process token, built by its kind's constructor from the given options
     that the kind reads (processgen.PARAMETERS).  ``kind:H`` sets hurst, so --hurst reaches
-    bare tokens only.  A given option that no token reads is a usage error."""
+    bare tokens only, and a map parameter drawn from --a-range leaves --a unread.  A given
+    option that no token reads, or a token whose spec repeats an earlier one, is a usage error."""
     given = {name: getattr(args, name) for names in processgen.PARAMETERS.values()
              for name in names if getattr(args, name) is not None}
     if "a_range" in given:
@@ -158,6 +159,8 @@ def _process_specs(args, tokens: Sequence[str], t: int) -> List[processgen.Proce
         reads = processgen.PARAMETERS[kind]
         params = {name: given[name] for name in reads
                   if name in given and not (colon and name == "hurst")}
+        if "a_range" in params:
+            params.pop("a", None)
         unread -= params.keys()
         if colon:
             if "hurst" not in reads:
@@ -169,9 +172,12 @@ def _process_specs(args, tokens: Sequence[str], t: int) -> List[processgen.Proce
         elif "hurst" in reads and "hurst" not in params:
             raise UsageError(f"process {kind!r} needs --hurst or the {kind}:H shorthand")
         try:
-            specs.append(getattr(processgen, kind.replace("-", "_"))(t, seed=args.seed, **params))
+            spec = getattr(processgen, kind.replace("-", "_"))(t, seed=args.seed, **params)
         except ValueError as exc:
             raise UsageError(str(exc))
+        if spec in specs:
+            raise UsageError(f"process {token!r} repeats an earlier --process")
+        specs.append(spec)
     if unread:
         names = ", ".join("--" + name.replace("_", "-") for name in sorted(unread))
         raise UsageError(f"no named process reads {names}")
@@ -216,15 +222,18 @@ def _workers() -> int:
 
 
 def _parse_alphas(text: str) -> List[float]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
     try:
-        alphas = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        alphas = [float(tok) for tok in tokens]
     except ValueError:
         raise UsageError(f"cannot parse alpha list {text!r}")
     if not alphas:
         raise UsageError(f"no alpha in {text!r}")
-    for a in alphas:
+    for i, a in enumerate(alphas):
         if not 0 <= a < math.inf:
             raise UsageError(f"alpha must be finite and >= 0, got {a:g}")
+        if a in alphas[:i]:
+            raise UsageError(f"alpha {tokens[i]!r} repeats an earlier one")
     return alphas
 
 
@@ -272,6 +281,8 @@ def cmd_census(args) -> int:
         samples = serialize.read_series(args.input)
         source = args.input
     else:
+        if args.t < args.length:
+            raise UsageError(f"--t must be at least the pattern length {args.length}, got {args.t}")
         samples = processgen.steady_samples(specs[0], args.transient)
         source = specs[0].kind
 
@@ -438,18 +449,16 @@ def cmd_oracle(args) -> int:
         payload["cells"] = serialize.json_records(("ranks", "intervals", "measure"), table)
         payload["boundaries"] = cells.boundaries()
     if args.what in ("transitions", "both"):
-        matrix = logistic_exact.exact_transition_probs(args.length)
-        rows = [(src, sorted(row.items())) for src, row in sorted(matrix.rows.items())]
-        # one decode for the table: each source's ranks, then its targets', in output order
-        codes = [code for src, row in rows for code in (src, *(dst for dst, _ in row))]
-        ranks = iter(decode_pattern(np.array(codes), args.length).tolist())
-        payload["transitions"] = [
-            {
-                "source": next(ranks),
-                "targets": [{"ranks": next(ranks), "probability": prob} for _, prob in row],
-            }
-            for _, row in rows
-        ]
+        # sources ascending, and targets ascending within each: the order census._rows fills
+        rows = logistic_exact.exact_transition_probs(args.length).rows
+        ranks = decode_pattern(np.fromiter((dst for row in rows.values() for dst in row), np.int64),
+                               args.length).tolist()
+        ends = np.cumsum([len(row) for row in rows.values()]).tolist()
+        targets = [[{"ranks": r, "probability": p}
+                    for r, p in zip(ranks[end - len(row):end], row.values())]
+                   for row, end in zip(rows.values(), ends)]
+        table = (decode_pattern(np.fromiter(rows, np.int64, len(rows)), args.length), targets)
+        payload["transitions"] = serialize.json_records(("source", "targets"), table)
     serialize.write_json(args.out, payload)
     return 0
 
@@ -471,6 +480,8 @@ def _check_length(length: int) -> None:
 def _length_range(args) -> List[int]:
     if not 2 <= args.l_min <= args.l_max <= MAX_PATTERN_LENGTH:
         raise UsageError(f"need l-min <= l-max in 2..{MAX_PATTERN_LENGTH}, got {args.l_min}..{args.l_max}")
+    if args.t < args.l_max:  # every caller generates a --process series of args.t samples
+        raise UsageError(f"--t must be at least --l-max {args.l_max}, got {args.t}")
     return list(range(args.l_min, args.l_max + 1))
 
 

@@ -208,6 +208,8 @@ def entropy_rate(
         check_length(L)
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if spec.t < max(lengths):
+        raise ValueError(f"series length {spec.t} is below the longest pattern length {max(lengths)}")
     for L in lengths:
         if spec.t - L + 1 < 10 * math.factorial(L):
             warnings.warn(

@@ -21,6 +21,9 @@ _ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the Shannon limit
 # -e^{-1} as a double; also the exact branch-point input for lambert_w0
 _BRANCH_POINT = -math.exp(-1.0)
 
+# the smallest normal double: a power sum below it has lost its bits, or underflowed to 0
+_TINY = 2.0 ** -1022
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -67,6 +70,21 @@ def _positive(p: np.ndarray) -> np.ndarray:
     return p[p > 0.0]
 
 
+def _log_power_sum(q: np.ndarray, alpha: float, s: float) -> float:
+    """ln(s) / (1 - alpha) for the power sum ``s = sum q_i^alpha`` of the law ``q``.
+
+    A normal ``s`` gives ``math.log(s) / (1 - alpha)``.  Below the smallest
+    normal float the largest ``q_i`` is factored out instead:
+    ``alpha / (1 - alpha) ln q_max + ln sum (q_i / q_max)^alpha / (1 - alpha)``,
+    whose sum is at least 1, so the value stays finite for every finite alpha.
+    """
+    if s >= _TINY:
+        return math.log(s) / (1.0 - alpha)
+    top = float(q.max())
+    rest = float(np.sum((q / top) ** alpha))
+    return alpha / (1.0 - alpha) * math.log(top) + math.log(rest) / (1.0 - alpha)
+
+
 def shannon(p) -> float:
     """-sum p_i ln p_i, with 0 ln 0 taken as 0."""
     q = _positive(probabilities_of(p))
@@ -81,7 +99,7 @@ def renyi(p, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         return shannon(q)
     s = float(np.sum(_positive(q) ** alpha))
-    return math.log(s) / (1.0 - alpha) + 0.0
+    return _log_power_sum(q, alpha, s) + 0.0
 
 
 def tsallis(p, alpha: float) -> float:
@@ -107,6 +125,8 @@ def two_param_entropy(p, alpha: float, beta: float) -> float:
         raise ValueError("beta must be nonzero")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
+    if s < _TINY:  # s has lost its bits: take the power through the log instead
+        return beta * (math.exp(_log_power_sum(q, alpha, s) / beta) - 1.0) + 0.0
     return beta * (s ** (1.0 / (beta * (1.0 - alpha))) - 1.0) + 0.0
 
 
@@ -274,7 +294,8 @@ def z_entropy_general(p, group_log: GroupLogarithm, alpha: float) -> float:
         raise ValueError("alpha = 1 not supported by the generic form; use a class entropy")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    return float(group_log.G(math.log(s))) / (1.0 - alpha) + 0.0
+    log_s = math.log(s) if s >= _TINY else _log_power_sum(q, alpha, s) * (1.0 - alpha)
+    return float(group_log.G(log_s)) / (1.0 - alpha) + 0.0
 
 
 def relative_z(p, q, group_log: GroupLogarithm, alpha: float) -> float:

@@ -126,10 +126,26 @@ class TestProcessOptions:
         (["generate", "--process", "fgn:0.3", "--hurst", "0.9"], "--hurst"),
         (["census", "--input", "series.csv", "-L", "3", "--amp", "0.2"], "--amp"),
         (["classify", "--input", "growth.csv", "--hurst", "0.5"], "--hurst"),
+        (["census", "--process", "noisy-logistic", "-L", "3", "--a", "3.9", "--a-range", "3.8", "3.9"],
+         "--a"),
     ], ids=lambda v: f"{v[0]}:{v[2]}" if isinstance(v, list) else v.lstrip("-"))
     def test_option_no_named_process_reads_exit_2(self, capsys, no_work, argv, option):
         assert run(*argv) == 2
         assert f"usage error: no named process reads {option}\n" == capsys.readouterr().err
+
+    def test_a_reaches_the_kind_without_a_range(self, capsys):
+        assert run("entropy", "--process", "logistic", "--process", "noisy-logistic", "--a", "3.9",
+                   "--a-range", "3.8", "3.9", "--t", "300", "-R", "1", "--l-max", "3",
+                   "--alpha", "1") == 0
+
+    @pytest.mark.parametrize("argv, token", [
+        (["entropy", "--process", "white-noise", "--process", "white-noise"], "white-noise"),
+        (["pc-curve", "--process", "fgn:0.7", "--process", "fgn:0.70", "-L", "3"], "fgn:0.70"),
+        (["entropy", "--process", "fgn", "--process", "fgn:0.7", "--hurst", "0.7"], "fgn:0.7"),
+    ], ids=["same-token", "same-hurst", "hurst-option-and-shorthand"])
+    def test_repeated_process_exit_2(self, capsys, no_work, argv, token):
+        assert run(*argv) == 2
+        assert f"usage error: process {token!r} repeats an earlier --process\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("process", ["white-noise:0.3", "noisy-logistic:0.5"])
     def test_hurst_shorthand_on_a_kind_without_hurst_exit_2(self, capsys, no_work, process):
@@ -380,6 +396,39 @@ class TestEntropyAndRate:
         assert run(command, "--process", "white-noise", "--t", "3000", "--c", "0.3") == 2
         assert "usage error: the factorial class reads no --c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas, token", [("0.5,0.5", "0.5"), ("0,1,1.0", "1.0")])
+    def test_repeated_alpha_exit_2(self, capsys, no_work, alphas, token):
+        assert run("entropy", "--process", "white-noise", "--alpha", alphas) == 2
+        assert f"usage error: alpha {token!r} repeats an earlier one\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--process", "white-noise", "--t", "4", "--l-max", "7"], "--l-max 7, got 4"),
+        (["entropy", "--process", "white-noise", "--t", "6"], "--l-max 7, got 6"),
+        (["classify", "--process", "white-noise", "--t", "5"], "--l-max 7, got 5"),
+        (["census", "--process", "white-noise", "--t", "3", "-L", "5"], "the pattern length 5, got 3"),
+    ], ids=["rate", "entropy", "classify", "census"])
+    def test_t_below_the_longest_length_exit_2_before_generating(self, capsys, recwarn, no_work,
+                                                                 argv, message):
+        assert run(*argv) == 2
+        assert f"usage error: --t must be at least {message}\n" == capsys.readouterr().err
+        assert not recwarn.list
+
+    def test_t_at_the_longest_length_runs(self, capsys):
+        assert run("census", "--process", "white-noise", "--t", "5", "-L", "5") == 0
+        assert capsys.readouterr().out.endswith("\n86,3-2-1-0-4,1,1\n")
+        with pytest.warns(UserWarning, match="undersampled"):
+            assert run("rate", "--process", "white-noise", "--t", "7", "--l-max", "7", "-R", "1") == 0
+        assert capsys.readouterr().out.endswith("\n7,0\n")  # one window: one pattern
+
+    def test_order_whose_power_sum_underflows(self, capsys):
+        # at L = 7 every p^100 underflows, so sum p^100 reads 0.0
+        assert run("entropy", "--process", "white-noise", "--alpha", "1.5,100", "--l-min", "7",
+                   "--l-max", "7", "--t", "60000", "-R", "1") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("white-noise,")]
+        z = {float(alpha): float(value) for _, _, alpha, _, value in rows}
+        assert 0 < z[100.0] <= z[1.5]
+
     def test_rate_takes_one_alpha(self, capsys):
         assert run("rate", "--process", "white-noise", "--alpha", "0.5,1") == 2
         assert "usage error" in capsys.readouterr().err
@@ -483,7 +532,9 @@ class TestOracle:
          "04cacfc0fd3415ba3857258b2cf3e4667a7504fc4f5c08e63bc4d3b18cc4a09f"),
         ("oracle --length 9 --what cells",
          "f005fd7c9ddaad1c569d87c4896fe5c3044d79487e6db743ad1b563a1b26fa83"),
-    ], ids=["L3", "L9-transitions", "L9-cells"])
+        ("oracle --length 11 --what both",
+         "956bbfd418bed3a8bfc227e26ffa77262b0576cc6671e595540c36407f80a7a5"),
+    ], ids=["L3", "L9-transitions", "L9-cells", "L11-both"])
     def test_golden_json_bytes(self, capsys, argv, sha256):
         assert run(*argv.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

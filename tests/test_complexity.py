@@ -249,6 +249,15 @@ class TestEntropyRate:
                 white_noise(2_000), fac, alpha=1.0, l_range=[7], realizations=1,
             )
 
+    def test_series_below_the_longest_length_raises_before_any_warning(self, monkeypatch, recwarn):
+        def no_generation(spec):
+            raise AssertionError("generated a series shorter than a pattern")
+
+        monkeypatch.setattr("ordent.processgen.generate", no_generation)
+        with pytest.raises(ValueError, match="series length 4 is below the longest pattern length 7"):
+            entropy_rate(white_noise(4), ComplexityClass.factorial(), 1.0, [3, 7], realizations=1)
+        assert not recwarn.list
+
     def test_rejects_negative_transient(self):
         with pytest.raises(ValueError, match="transient"):
             entropy_rate(

@@ -300,6 +300,33 @@ class TestZEntropyGeneral:
             z_entropy_general([0.5, 0.5], identity_group_log(), 1.0)
 
 
+class TestPowerSumUnderflow:
+    """Orders at which sum p_i^alpha falls below the smallest normal float."""
+
+    UNIFORM = np.full(5040, 1 / 5040)  # sum p^100 = 5040^-99, about 1e-366
+
+    def test_uniform_law_keeps_its_log(self):
+        assert renyi(self.UNIFORM, 100.0) == pytest.approx(math.log(5040), rel=1e-14)
+        assert z_entropy_general(self.UNIFORM, identity_group_log(), 100.0) == pytest.approx(
+            math.log(5040), rel=1e-14)
+
+    @pytest.mark.parametrize("n, alpha", [(5040, 100.0), (720, 500.0), (24, 1e4)])
+    def test_two_param_on_a_uniform_law(self, n, alpha):
+        assert two_param_entropy(np.full(n, 1 / n), alpha, 1.0) == pytest.approx(n - 1, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [90.0, 500.0, 1e4])
+    def test_renyi_matches_50_digits(self, rng, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        p = random_distribution(rng, 720)
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.fsum(mpmath.mpf(v) ** alpha for v in p)) / (1 - mpmath.mpf(alpha))
+            assert renyi(p, alpha) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_largest_order_gives_min_entropy(self, rng):
+        p = random_distribution(rng, 720)
+        assert renyi(p, 1e308) == pytest.approx(-math.log(p.max()), rel=1e-14)
+
+
 class TestRelativeZ:
     def test_equal_distributions_vanish(self, rng):
         glog = identity_group_log()

@@ -215,6 +215,8 @@ def test_json_records_match_reference(monkeypatch, n):
     "census --process logistic --t 2000 --length 5 --format json",
     "census --process logistic --t 2000 --length 5 --report-missing --format json",
     "oracle --length 5 --what cells",
+    "oracle --length 5 --what transitions",
+    "oracle --length 5 --what both",
     "rate --process white-noise --t 2000 --l-min 2 --l-max 5 --format json",
 ])
 def test_json_tables_reach_the_encoder_a_block_at_a_time(capsys, monkeypatch, argv):
