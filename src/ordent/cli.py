@@ -8,6 +8,7 @@ success, 1 on data/computation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -42,6 +43,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+@functools.cache  # built once per process: it reads no environment
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordent",

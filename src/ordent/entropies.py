@@ -125,9 +125,12 @@ def two_param_entropy(p, alpha: float, beta: float) -> float:
         raise ValueError("beta must be nonzero")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    if s < _TINY:  # s has lost its bits: take the power through the log instead
-        return beta * (math.exp(_log_power_sum(q, alpha, s) / beta) - 1.0) + 0.0
-    return beta * (s ** (1.0 / (beta * (1.0 - alpha))) - 1.0) + 0.0
+    try:
+        if s < _TINY:  # s has lost its bits: take the power through the log instead
+            return beta * (math.exp(_log_power_sum(q, alpha, s) / beta) - 1.0) + 0.0
+        return beta * (s ** (1.0 / (beta * (1.0 - alpha))) - 1.0) + 0.0
+    except OverflowError:
+        raise ValueError(f"two_param_entropy overflows float64 at alpha={alpha}, beta={beta}") from None
 
 
 def z_ab_entropy(p, alpha: float, a: float, b: float) -> float:
@@ -144,7 +147,10 @@ def z_ab_entropy(p, alpha: float, a: float, b: float) -> float:
         raise ValueError("at least one of a, b must be positive")
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
-    return (s**a - s**b) / ((a - b) * (1.0 - alpha)) + 0.0
+    try:
+        return (s**a - s**b) / ((a - b) * (1.0 - alpha)) + 0.0
+    except OverflowError:
+        raise ValueError(f"z_ab_entropy overflows float64 at alpha={alpha}, a={a}, b={b}") from None
 
 
 def lambert_w0(x):

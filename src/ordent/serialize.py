@@ -132,29 +132,46 @@ def join_rank_rows(blocks: Iterable[np.ndarray], decode) -> Iterator[str]:
 
 
 def _rows_text(cols: list, end: str = "\n") -> str:
-    """The rows of ``cols``, cells joined by ',' and rows closed by ``end``: the
-    columns' NUL-padded cell matrices side by side, with the NULs dropped."""
-    n = len(cols[0])
-    parts = []
-    for col in cols:
-        parts += [_cells(col), np.full((n, 1), ord(","), np.uint8)]
-    parts[-1] = np.full((n, 1), ord(end), np.uint8)
-    return np.hstack(parts).tobytes().translate(None, b"\0").decode()
+    """The rows of ``cols``, cells joined by ',' and rows closed by ``end``.
+
+    Every column writes its cells straight into its slice of one ``(n, width)``
+    uint8 matrix whose rows start as the separators over NUL cell slots; the
+    NULs that shorter cells leave in their slots are dropped at the end.  The
+    matrix is a view of a bytearray, so its bytes are read without a copy.
+    """
+    cells = [_cells(col) for col in cols]
+    line = b",".join(blank for blank, _ in cells) + end.encode()
+    text = bytearray(line) * len(cols[0])
+    block = np.frombuffer(text, np.uint8).reshape(len(cols[0]), len(line))
+    at = 0
+    for blank, write in cells:
+        write(block[:, at:at + len(blank)])
+        at += len(blank) + 1
+    return text.translate(None, b"\0").decode()
 
 
-def _cells(col: np.ndarray) -> np.ndarray:
-    """One column as an ``(n, w)`` uint8 matrix of cell text padded with NUL bytes.
+def _cells(col: np.ndarray):
+    """``(blank, write)`` for one column: its cell slots as they start (NUL, and
+    the '-' between rank cells), and a function that writes the cells into the
+    ``(n, len(blank))`` uint8 slice it is given.
 
     Integers and ``(n, k)`` rank rows (``a-b-...``) in decimal; floats as
     ``"%.17g"`` and anything else by ``str`` in UTF-8, each distinct value
     formatted once (floats told apart by bit pattern: ``-0.0``, every NaN).
     """
-    if col.ndim == 2:
-        cells = _int_cells(col)
-        cells[:, 1:, 0] = ord("-")
-        return cells.reshape(len(col), col.shape[1] * cells.shape[2])
     if col.dtype.kind in "iu":
-        return _int_cells(col)
+        low = int(col.min(initial=0))
+        top = max(int(col.max(initial=0)), -low)
+        sign = int(low < 0)
+        width = sign + len(str(top))
+        if col.ndim == 1:
+            return b"\0" * width, lambda out: _write_ints(col, sign, top, out)
+        # each cell behind one slot, the '-' from the second cell on; the reshape
+        # splits only the contiguous last axis, so it is a view of the block
+        k = col.shape[1]
+        shape = (len(col), k, width + 1)
+        return (b"\0" + b"-".join([b"\0" * width] * k),
+                lambda out: _write_ints(col, sign, top, out.reshape(shape)[..., 1:]))
     if col.dtype.kind == "f":
         bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
         values = bits.view(np.float64).tolist()
@@ -164,28 +181,35 @@ def _cells(col: np.ndarray) -> np.ndarray:
     else:
         distinct, inverse = np.unique(col.astype(str), return_inverse=True)
         table = np.char.encode(distinct, "utf-8")
-    return table.view(np.uint8).reshape(len(table), table.itemsize)[inverse]
+    rows = table.view(np.uint8).reshape(len(table), table.itemsize)
+    text = np.dtype((np.void, max(int(rows.any(axis=0).sum()), 1)))  # the longest text
+    texts = np.ascontiguousarray(rows[:, :text.itemsize]).view(text)[:, 0]
+
+    def write(out):
+        out.view(text)[:, 0] = texts[inverse]
+
+    return b"\0" * text.itemsize, write
 
 
-def _int_cells(a: np.ndarray) -> np.ndarray:
-    """Decimal text of an integer array along a new last axis: a free NUL slot, a '-' slot
-    if any value is negative, digits."""
-    low = int(a.min(initial=0))
-    top = max(int(a.max(initial=0)), -low)
-    sign = int(low < 0)
-    last = sign + len(str(top))  # slot of the units digit
-    out = np.zeros(a.shape + (last + 1,), np.uint8)
+def _write_ints(a: np.ndarray, sign: int, top: int, out: np.ndarray) -> None:
+    """The decimal text of ``a`` into ``out`` of shape ``a.shape + (w,)``: with
+    ``sign`` set (some value is negative) a '-' slot first, then the digits
+    right-aligned over NULs.
+
+    ``top`` bounds ``|a|``; the digits are taken in the narrowest unsigned dtype
+    that holds it.
+    """
     rest = a.astype(np.min_scalar_type(top))  # unsigned: negatives wrap, negation below unwraps
     if sign:
         negative = a < 0
         np.negative(rest, where=negative, out=rest)
-        out[..., 1] = negative * ord("-")
-    for j in range(last, sign, -1):
-        shown = rest > 0
-        tens = rest // 10
-        out[..., j] = (rest - tens * 10 + ord("0")) * (shown | (j == last))
+        out[..., 0] = negative * ord("-")
+    last = out.shape[-1] - 1  # slot of the units digit
+    for j in range(last, sign - 1, -1):
+        tens = rest // 10 if j > sign else 0
+        digit = rest - tens * 10 + ord("0")
+        out[..., j] = digit if j == last else digit * (rest > 0)
         rest = tens
-    return out
 
 
 def _write_blocks(path_or_fh, head: Iterable[str], cols: list) -> None:

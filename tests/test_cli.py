@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ordent
-from ordent import OrdinalCellSet, census, generate, noisy_cubic
+from ordent import OrdinalCellSet, census, cli, generate, noisy_cubic
 from ordent.cli import main
 from ordent.serialize import read_series, read_series_binary, write_series_csv
 
@@ -731,14 +731,37 @@ class TestEntryPoint:
      "b2a28b5510b0dee540a1d9cc938351b0fd7d3d225908a3d536022808651287fa"),
     ("generate --process noisy-logistic --t 2000",
      "a3cb48627e4b26c386de62fc0a6faab3cc0cfdb2a1ad1d735f72a97ab76b59d1"),
+    ("census --process white-noise --t 400000 --length 8",  # 40,319 rows: 3 blocks
+     "eec97c86e76c25f4ab663c137699f583a3bec16ff2f9c0eed43630bb548f2853"),
 ], ids=["census-L5", "census-L8-missing", "census-L5-json", "census-L8-missing-json", "generate",
-         "generate-noisy-logistic"])
+         "generate-noisy-logistic", "census-L8-blocks"])
 def test_golden_csv_bytes(capsys, argv, sha256):
     """Pinned CSV output, and the JSON form of the census tables. These runs
     rest only on the PCG64 uniform stream, integer counts and IEEE float
     arithmetic, not on FFTs or libm."""
     assert run(*argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("refused", [
+    ["census", "--process", "white-noise", "--length"],  # argparse exits
+    ["census", "--process", "white-noise", "--length", "21"],  # main returns
+], ids=["parse-error", "usage-error"])
+def test_refused_call_leaves_the_next_one_unchanged(capsys, refused):
+    """The parser is built once per process; a call refused with exit 2 does not
+    change the bytes of the call after it."""
+    argv = ["census", "--process", "white-noise", "--t", "20000", "--length", "5"]
+    assert run(*argv) == 0
+    first = capsys.readouterr().out
+    try:
+        code = main(refused)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_golden_entropy_bytes(capsys):

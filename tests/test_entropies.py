@@ -145,6 +145,11 @@ class TestTwoParamEntropy:
         with pytest.raises(ValueError):
             two_param_entropy([0.5, 0.5], 0.5, 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 200.0])  # the power taken directly, and through the log
+    def test_overflow_is_a_value_error(self, alpha):
+        with pytest.raises(ValueError, match="overflows float64"):
+            two_param_entropy(np.full(5040, 1 / 5040), alpha, 1e-3)
+
 
 class TestZAbEntropy:
     def test_b_zero_is_sharma_mittal(self, rng):
@@ -167,6 +172,10 @@ class TestZAbEntropy:
     def test_rejects_equal_exponents(self):
         with pytest.raises(ValueError):
             z_ab_entropy([0.5, 0.5], 0.5, 1.0, 1.0)
+
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            z_ab_entropy(np.full(5040, 1 / 5040), 0.5, 1e3, 0.0)
 
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(ValueError):

@@ -36,23 +36,29 @@ def written(columns, data, meta=None):
     return buf.getvalue()
 
 
-FLOATS = [1.0, 5e-324, -0.125, 3.0, -2.5e300, 0.1, 1 / 3, -0.0, 2.0**53, float("inf")]
+FLOATS = [1.0, 5e-324, -0.125, 3.0, -2.5e300, 0.1, 1 / 3, -0.0, 2.0**53, float("inf"),
+          math.nan, -math.nan]
 
 
 def test_columns_of_every_kind_match_reference():
-    codes = np.array([0, 7, 39916799, 479001599, 12345678, 1, 2, 3, 4, 5], dtype=np.int64)
+    codes = np.array([0, 7, 39916799, 479001599, 12345678, 1, 2, 3, 4, 5, 6, 8], dtype=np.int64)
     ranks = decode_pattern(codes, 12)  # L = 12: ranks 10 and 11 have two digits
-    labels = ["white-noise", "fbm:0.7", "a", "b", "c", "d", "e", "f", "g", "h"]
-    counts = np.array([1, 2, 3, 10**12, 5, 6, 7, 8, 9, 0], dtype=np.int64)
-    probs = np.array(FLOATS)
+    # beside the ranks: negative integers, and uint64 up to its maximum
+    shifts = np.array([-2**63, -1, 0, 9, -10, 2**63 - 1, 5, -5, 0, 0, 1, -1], dtype=np.int64)
+    wide = np.array([2**64 - 1, 0, 1, 2**63, 10, 9, 99, 100, 7, 7, 7, 2**64 - 2], dtype=np.uint64)
+    labels = ["white-noise", "fbm:0.7", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
+    counts = np.array([1, 2, 3, 10**12, 5, 6, 7, 8, 9, 0, 1, 1], dtype=np.int64)
+    probs = np.array(FLOATS)  # -0.0 and both NaN signs among them
     meta = {"L": 12, "log_max_patterns": 19.987214495661885, "source": "x.bin", "p": 1.0}
-    rows = list(zip(labels, codes.tolist(), ranks.tolist(), counts.tolist(), probs.tolist()))
-    columns = ("label", "code", "ranks", "count", "probability")
-    got = written(columns, (labels, codes, ranks, counts, probs), meta)
+    table = (labels, codes, shifts, ranks, wide, counts, probs)
+    rows = list(zip(*[c if isinstance(c, list) else c.tolist() for c in table]))
+    columns = ("label", "code", "shift", "ranks", "wide", "count", "probability")
+    got = written(columns, table, meta)
     assert got == reference_csv(columns, rows, meta)
-    assert "\nwhite-noise,0,0-1-2-3-4-5-6-7-8-9-10-11,1,1\n" in got
+    assert "\nwhite-noise,0,-9223372036854775808,0-1-2-3-4-5-6-7-8-9-10-11,18446744073709551615,1,1\n" in got
     assert ",11-10-9-8-7-6-5-4-3-2-1-0," in got
     assert ",4.9406564584124654e-324\n" in got
+    assert ",100,8,-0\n" in got and got.count(",nan\n") == 2
 
 
 def test_python_row_tables_match_reference():
@@ -62,18 +68,29 @@ def test_python_row_tables_match_reference():
     assert written(columns, zip(*rows), {"t": 60000}) == reference_csv(columns, rows, {"t": 60000})
 
 
+@pytest.mark.parametrize("length", [4, 11])
 @pytest.mark.parametrize("n", [0, 1, 3, 7])
-def test_block_edges(monkeypatch, n):
+def test_block_edges(monkeypatch, n, length):
+    """Blocks of 3 rows.  At L = 11 each block sizes its own cells: the codes
+    widen from one digit to eight, and the leading four ranks of each pattern
+    print one digit apiece until the last block, where they print ``10``."""
     monkeypatch.setattr(serialize, "_BLOCK", 3)
-    codes = np.arange(n, dtype=np.int64) * 3
-    ranks = decode_pattern(codes, 4)
+    if length == 4:
+        codes = np.arange(n, dtype=np.int64) * 3
+        ranks = decode_pattern(codes, 4)
+    else:
+        codes = np.array([0, 1, 2, 10**5, 10**6, 10**7, math.factorial(11) - 1][:n], dtype=np.int64)
+        ranks = decode_pattern(codes, 11)[:, :4]
     probs = np.linspace(-1.0, 1.0, n) / 3
     rows = list(zip(codes.tolist(), ranks.tolist(), probs.tolist()))
     columns = ("code", "ranks", "probability")
-    got = written(columns, (codes, ranks, probs), {"L": 4})
-    assert got == reference_csv(columns, rows, {"L": 4})
+    got = written(columns, (codes, ranks, probs), {"L": length})
+    assert got == reference_csv(columns, rows, {"L": length})
     if n == 0:
-        assert got == f"# schema_version={SCHEMA_VERSION}\n# L=4\ncode,ranks,probability\n"
+        assert got == f"# schema_version={SCHEMA_VERSION}\n# L={length}\ncode,ranks,probability\n"
+    if length == 11 and n == 7:
+        assert "\n0,0-1-2-3,-0.33333333333333331\n" in got
+        assert got.endswith("\n39916799,10-9-8-7,0.33333333333333331\n")
 
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
