@@ -96,7 +96,9 @@ class _Tally:
     kept: by ``np.bincount`` when the block holds at least L! codes, by
     ``np.add.at`` otherwise, so a block costs O(block) whatever L! is.
     When ``L! > n`` the blocks are kept (copied, since the producer reuses
-    its buffer) and counted once by ``_count``.
+    its buffer) and counted once by ``_count``.  In ``census_lengths`` only
+    the longest length with bins is fed every block; a shorter one is fed
+    its first few windows and then adds the longest one's bins, folded.
     """
 
     def __init__(self, length: int, n: int):
@@ -153,11 +155,19 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     comparisons: the rank codes of every length come block by block from
     the running lag sums of the longest one (``patterns._rank_code_blocks``).
     Each length counts its rank codes by the rule of every census (into L!
-    bins, block by block, when L! is at most the window count, so no codes
-    are kept; ``np.unique`` otherwise; see ``_Tally``) and turns them into
-    pattern codes: the bins through the cached table of all L! codes, on the
+    bins when L! is at most the window count, so no codes are kept;
+    ``np.unique`` otherwise; see ``_Tally``) and turns them into pattern
+    codes: the bins through the cached table of all L! codes, on the
     ``np.unique`` side only the distinct codes.  A repeated length is
     counted once and its distribution shared.
+
+    Only the longest length on the bincount side, ``top``, is counted block
+    by block.  Indexed by its last sample, a window's rank code at a shorter
+    L is the ``top`` code mod L! (the recursion of ``_rank_code_blocks``),
+    so L's bins are ``top``'s folded, ``bins.reshape(-1, L!).sum(axis=0)``,
+    plus the ``top - L`` first windows of L, which end before any window of
+    ``top`` does; those are taken by window index, from as many blocks as
+    they span.
     """
     x = as_samples(ts)
     lengths = [int(length) for length in lengths]
@@ -169,8 +179,14 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     if x.size < wanted[-1]:
         raise ValueError(f"series of length {x.size} too short for windows of {wanted[-1]}")
     tallies = [_Tally(length, x.size - length + 1) for length in wanted]
-    for i, _, ranks in _rank_code_blocks(x, wanted):
-        tallies[i].add(ranks)
+    top = max((i for i, tally in enumerate(tallies) if tally.bins is not None), default=-1)
+    for i, start, ranks in _rank_code_blocks(x, wanted):
+        if i >= top:
+            tallies[i].add(ranks)
+        elif start < wanted[top] - wanted[i]:  # the first top - L windows of a shorter L
+            tallies[i].add(ranks[: wanted[top] - wanted[i] - start])
+    for tally in tallies[:max(top, 0)]:
+        tally.bins += tallies[top].bins.reshape(-1, tally.size).sum(axis=0)
     dists = {length: tally.distribution() for length, tally in zip(wanted, tallies)}
     return [dists[length] for length in lengths]
 

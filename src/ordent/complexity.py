@@ -195,8 +195,10 @@ def entropy_rate(
     spec.seed + r, whatever the scheduling.  Each comes from
     ``processgen.steady_samples`` and is counted at every length by one
     ``census_lengths`` call (one pass of lag comparisons; bincount counting
-    where L! is at most the window count).  A warning is emitted when spec.t
-    gives fewer than 10 L! windows, where the census is badly undersampled.
+    where L! is at most the window count, block by block for the longest
+    such length only, whose bins give the shorter lengths' bins).  A warning
+    is emitted when spec.t gives fewer than 10 L! windows, where the census
+    is badly undersampled.
     """
     from .census import census_lengths
     from .processgen import steady_samples

@@ -158,7 +158,15 @@ def lambert_w0(x):
 
     Defined for x >= -1/e; accepts scalars or arrays.  Accuracy is near
     machine precision via a series or asymptotic start plus Halley updates.
+
+    A Python ``int`` or ``float`` (``np.float64`` included) takes a scalar
+    path on Python floats: the same operations as the array path, in the
+    same order, with numpy's ``exp``, ``log`` and ``sqrt`` called on
+    scalars (libm's differ from numpy's in some last bits), so it returns
+    the bits of ``lambert_w0(np.array([x]))[0]`` at about 1/20 of the cost.
     """
+    if isinstance(x, (int, float)):
+        return _lambert_w0_scalar(float(x))
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     v = np.atleast_1d(arr).copy()
@@ -188,18 +196,63 @@ def lambert_w0(x):
     llx = np.log(np.maximum(lx, 1e-300))
     w0[big] = np.where(vr[big] > np.e, lx - llx, 0.5 * vr[big])
 
-    for _ in range(64):
-        ew = np.exp(w0)
-        f = w0 * ew - vr
-        wp1 = w0 + 1.0
-        denom = ew * wp1 - (w0 + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
-        w0 -= dw
-        np.maximum(w0, -1.0, out=w0)  # stay on the principal branch
-        if np.all(np.abs(dw) <= 1e-16 * (2.0 + np.abs(w0))):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed steps are replaced
+        for _ in range(64):
+            ew = np.exp(w0)
+            dw, denom = _halley_step(w0, ew, w0 * ew - vr)
+            over = ~np.isfinite(denom)
+            if over.any():
+                dw[over] = _halley_step(w0[over], 1.0, w0[over] - vr[over] / ew[over])[0]
+            w0 -= dw
+            np.maximum(w0, -1.0, out=w0)  # stay on the principal branch
+            if np.all(np.abs(dw) <= 1e-16 * (2.0 + np.abs(w0))):
+                break
     w[rest] = w0
     return float(w[0]) if scalar else w.reshape(arr.shape)
+
+
+def _lambert_w0_scalar(x: float) -> float:
+    """``lambert_w0`` of one float, step for step as the array path takes it."""
+    if not math.isfinite(x):
+        raise ValueError("lambert_w0 requires finite input")
+    if _BRANCH_POINT * (1.0 + 1e-14) < x < _BRANCH_POINT:
+        x = _BRANCH_POINT
+    if x < _BRANCH_POINT:
+        raise ValueError(f"lambert_w0 undefined for x = {x} < -1/e")
+    if x == _BRANCH_POINT:
+        return -1.0
+    if x < 0.25:
+        pser = float(np.sqrt(2.0 * (np.e * x + 1.0)))
+        w = -1.0 + pser * (1.0 - pser / 3.0 + 11.0 / 72.0 * (pser * pser))
+    elif x > np.e:
+        lx = float(np.log(x))
+        w = lx - float(np.log(lx))
+    else:
+        w = 0.5 * x
+    for _ in range(64):
+        ew = float(np.exp(w))
+        dw, denom = _halley_step(w, ew, w * ew - x)
+        if not math.isfinite(denom):
+            dw = _halley_step(w, 1.0, w - x / ew)[0]
+        w = max(w - dw, -1.0)  # stay on the principal branch
+        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
+            break
+    return w
+
+
+def _halley_step(w, ew, f):
+    """Halley's correction to ``w`` as a root of w e^w - x, and its denominator,
+    from ``ew = e^w`` and the residual ``f = w e^w - x``; floats and arrays alike.
+
+    Where the denominator overflows (``(w + 2) f`` from x above about
+    2.757e307, ``e^w (w + 1)`` or f itself near the float maximum) the
+    callers take the step again on the residual divided by e^w:
+    ``_halley_step(w, 1.0, w - x / e^w)``.  Dividing f and both derivatives
+    by e^w keeps the step's value but not its rounding, so only there.
+    """
+    wp1 = w + 1.0
+    denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+    return f / denom, denom
 
 
 def q_log(x, q: float):
@@ -301,6 +354,9 @@ def z_entropy_general(p, group_log: GroupLogarithm, alpha: float) -> float:
     q = probabilities_of(p)
     s = float(np.sum(_positive(q) ** alpha))
     log_s = math.log(s) if s >= _TINY else _log_power_sum(q, alpha, s) * (1.0 - alpha)
+    if not math.isfinite(log_s):
+        raise ValueError(
+            f"z_entropy_general overflows float64 at alpha={alpha}: ln(sum p^alpha) is not finite")
     return float(group_log.G(log_s)) / (1.0 - alpha) + 0.0
 
 

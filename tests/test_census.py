@@ -153,13 +153,21 @@ class TestCensusLengths:
             assert census_pairs(dist) == brute_force_census(x, length)
             assert dist.codes.dtype == dist.counts.dtype == np.int64
 
-    @given(st.data())
-    def test_matches_brute_force_across_chunk_seams(self, data):
+    @pytest.mark.parametrize("chunk, series, lengths", [
         # 7 windows per block: the last block may hold fewer samples than the longest window
-        x = np.array(data.draw(st.lists(st.integers(0, 3), min_size=6, max_size=60)), dtype=float)
-        lengths = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+        (7, st.lists(st.integers(0, 3), min_size=6, max_size=60),
+         st.lists(st.integers(2, 6), min_size=1, max_size=4)),
+        # 2 windows per block: L = 5 or 6 is on the bincount side, and the first windows
+        # of a shorter length, counted beside the bins it is read off, span blocks
+        (2, st.binary(min_size=130, max_size=1000).map(lambda b: [v % 4 for v in b]),
+         st.lists(st.integers(2, 6), min_size=3, max_size=4, unique=True)),
+    ], ids=["chunk-7", "chunk-2"])
+    @given(data=st.data())
+    def test_matches_brute_force_across_chunk_seams(self, data, chunk, series, lengths):
+        x = np.array(data.draw(series), dtype=float)
+        lengths = data.draw(lengths)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(patterns, "_CHUNK", 7)
+            mp.setattr(patterns, "_CHUNK", chunk)
             dists = census_lengths(x, lengths)
         for length, dist in zip(lengths, dists):
             assert census_pairs(dist) == brute_force_census(x, length)

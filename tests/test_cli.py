@@ -764,17 +764,21 @@ def test_refused_call_leaves_the_next_one_unchanged(capsys, refused):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_golden_entropy_bytes(capsys):
+@pytest.mark.parametrize("growth, digest", [
+    ("", "e5009e605101064b3f7a1d9d1f89e5c01b34a02a965469fe6b3a84cd03f31dbc"),
+    (" --class subfactorial --c 0.5", "6239bab885a341d59b1923570a033f925459910fb78feace1dc0773a9c6ab906"),
+], ids=["factorial", "subfactorial"])
+def test_golden_entropy_bytes(capsys, growth, digest):
     """Pinned class entropies of the FFT, map-orbit and noisy-map generators at
-    L = 3..7. Unlike the pins above these rest on numpy's FFT and on libm
-    (exp, log), so another numpy or platform may need them re-recorded."""
+    L = 3..7, for the factorial class and, through W(r / c), a sub-factorial
+    one. Unlike the pins above these rest on numpy's FFT and on libm (exp,
+    log), so another numpy or platform may need them re-recorded."""
     argv = ("entropy --process fbm:0.7 --process noisy-cubic --process noisy-skew-tent "
-            "--process logistic --l-min 3 --l-max 7 --alpha 0,1,2 --t 5000 -R 2 --seed 3")
+            "--process logistic --l-min 3 --l-max 7 --alpha 0,1,2 --t 5000 -R 2 --seed 3" + growth)
     with pytest.warns(UserWarning, match="undersampled"):
         assert run(*argv.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e5009e605101064b3f7a1d9d1f89e5c01b34a02a965469fe6b3a84cd03f31dbc")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

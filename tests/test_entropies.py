@@ -1,9 +1,11 @@
 """Entropy functionals, deformed logs, Lambert W, and composition-rule axioms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import product_distribution, random_distribution
 from ordent import (
@@ -23,6 +25,7 @@ from ordent import (
     z_ab_entropy,
     z_entropy_general,
 )
+from ordent.entropies import _BRANCH_POINT
 
 # frozen via a 40-digit mpmath evaluation of -sum p ln p
 SHANNON_051_04 = 0.94334839232903924918
@@ -220,6 +223,38 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-0.4)
 
+    # libm's exp moves the last bit of about 1 in 20 results in [-1/e, 3]; hence the weight there
+    @settings(max_examples=1000)
+    @given(st.floats(min_value=_BRANCH_POINT * (1.0 + 1e-14), max_value=sys.float_info.max,
+                     exclude_min=True)
+           | st.floats(min_value=_BRANCH_POINT, max_value=3.0)
+           | st.floats(min_value=0.0, max_value=1e-3).map(lambda d: _BRANCH_POINT + d)
+           | st.sampled_from([_BRANCH_POINT, 0.25, math.e, sys.float_info.max]))
+    def test_scalar_path_matches_array_path_bit_for_bit(self, x):
+        assert lambert_w0(x).hex() == float(lambert_w0(np.array([x]))[0]).hex()
+        assert lambert_w0(np.float64(x)).hex() == lambert_w0(x).hex()
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.4])
+    def test_scalar_and_array_paths_refuse_alike(self, x):
+        with pytest.raises(ValueError) as scalar:
+            lambert_w0(x)
+        with pytest.raises(ValueError) as array:
+            lambert_w0(np.array([x]))
+        assert str(scalar.value) == str(array.value)
+
+    def test_sub_ulp_excursion_below_the_branch_point(self):
+        x = _BRANCH_POINT * (1.0 + 1e-15)
+        assert x < _BRANCH_POINT
+        assert lambert_w0(x) == lambert_w0(np.array([x]))[0] == -1.0
+
+    def test_near_the_float_maximum(self):
+        # (w + 2) f in the Halley step overflows from about 2.757e307 on
+        x = np.concatenate([1e307 * np.geomspace(1.0, sys.float_info.max / 1e307, 2001),
+                            [sys.float_info.max]])
+        for w in (lambert_w0(x), np.array([lambert_w0(float(v)) for v in x])):
+            assert np.all(np.abs(w + np.log(w) - np.log(x)) <= 1e-15 * np.log(x))
+            assert (np.diff(w[:-1]) > 0).all()
+
 
 class TestDeformedLogExp:
     def test_log_of_one_is_zero(self):
@@ -307,6 +342,11 @@ class TestZEntropyGeneral:
     def test_rejects_alpha_one(self):
         with pytest.raises(ValueError):
             z_entropy_general([0.5, 0.5], identity_group_log(), 1.0)
+
+    def test_overflow_is_a_value_error(self):
+        # ln(sum p^alpha) = alpha ln(1 / 5040) is below -1.8e308
+        with pytest.raises(ValueError, match="overflows float64"):
+            z_entropy_general(np.full(5040, 1 / 5040), identity_group_log(), 1e308)
 
 
 class TestPowerSumUnderflow:
