@@ -169,7 +169,11 @@ def census_lengths(ts, lengths: Sequence[int]) -> list:
     ``top`` does; those are taken by window index, from as many blocks as
     they span.
     """
-    x = as_samples(ts)
+    return _census_lengths(as_samples(ts), lengths)
+
+
+def _census_lengths(x: np.ndarray, lengths: Sequence[int]) -> list:
+    """census_lengths of samples that as_samples has already validated."""
     lengths = [int(length) for length in lengths]
     if not lengths:
         raise ValueError("lengths must be non-empty")
@@ -249,7 +253,7 @@ def transition_matrix(ts, length: int) -> TransitionMatrix:
         raise ValueError(
             f"series of length {x.size} too short for transitions at window {length}"
         )
-    (joint,) = census_lengths(x, [length + 1])
+    (joint,) = _census_lengths(x, [length + 1])
     return TransitionMatrix(length, _transition_rows(joint.codes, joint.counts, length))
 
 

@@ -272,9 +272,7 @@ def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     identity kp = (k^2 + p^2 - (p - k)^2) / 2 turns it into a chirp product,
     one circular convolution at a 5-smooth size and a second chirp product.
     """
-    if t == 1:
-        return rng.standard_normal(1)
-    if hurst == 0.5:
+    if t == 1 or hurst == 0.5:
         return rng.standard_normal(t)
     head, tail, *bluestein = _fgn_plan(t, hurst)
     z = _hermitian_half(t, rng)
@@ -293,28 +291,34 @@ def _fgn_samples(t: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     return s.view(np.float64)[:t]
 
 
-def _circulant_coefficients(t: int, hurst: float) -> np.ndarray:
-    """Read-only sqrt(eigenvalue / 2t) of the circulant embedding of t fGn samples.
+def _fgn_covariance(t: int, hurst: float) -> np.ndarray:
+    """fgn_autocovariance(np.arange(t + 1), hurst) bit for bit, from one table of k^2H."""
+    p = np.arange(t + 2, dtype=np.float64) ** (2.0 * hurst)
+    cov = p[1:] - 2.0 * p[:-1]
+    cov[0] += p[1]  # (k - 1)^2H at k = 0 is 1
+    cov[1:] += p[:-2]
+    return np.multiply(cov, 0.5, out=cov)
 
-    The embedding's first row is cov[0 .. t-1], a middle entry, cov[t-1 .. 1].
-    A middle 0.0 comes first, so the samples drawn from it keep their bits.
-    Where that row is not nonnegative definite the middle is cov[t]: the
-    minimal embedding of Davies & Harte (1987), nonnegative definite at every
-    H (Craigmile 2003 for H <= 1/2, Dietrich & Newsam 1997 above).
+
+def _circulant_coefficients(t: int, hurst: float) -> np.ndarray:
+    """Read-only sqrt(eigenvalue k / 2t), k <= t, of the circulant embedding of t fGn samples.
+
+    The embedding's first row is cov[0 .. t-1], a middle entry, cov[t-1 .. 1]; it is real and
+    even, so one rfft gives its eigenvalues.  A middle 0.0 comes first; where that row is not
+    nonnegative definite the middle is cov[t], the minimal embedding of Davies & Harte (1987):
+    nonnegative definite at every H (Craigmile 2003 for H <= 1/2, Dietrich & Newsam 1997 above).
     """
-    cov = fgn_autocovariance(np.arange(t), hurst)
-    row = np.concatenate((cov, [0.0], cov[-1:0:-1]))
-    eigenvalues = np.fft.fft(row).real
+    cov = _fgn_covariance(t, hurst)
+    eigenvalues = np.fft.rfft(np.concatenate((cov[:t], [0.0], cov[t - 1 : 0 : -1]))).real
     if _indefinite(eigenvalues):
         # cov[t] at row[t] adds cov[t] * exp(-i pi k) = cov[t] * (-1)^k to eigenvalue k
-        middle = fgn_autocovariance([t], hurst)[0]
-        eigenvalues[0::2] += middle
-        eigenvalues[1::2] -= middle
+        eigenvalues[0::2] += cov[t]
+        eigenvalues[1::2] -= cov[t]
         if _indefinite(eigenvalues):
             raise ValueError(
                 f"circulant embedding of fGn not nonnegative definite at t={t}, H={hurst}"
             )
-    coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / eigenvalues.size)
+    coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t))
     coeff.flags.writeable = False
     return coeff
 
@@ -339,19 +343,15 @@ def _hermitian_half(t: int, rng: np.random.Generator) -> np.ndarray:
 def _fgn_plan(t: int, hurst: float) -> tuple:
     """Read-only (head, tail) of _fgn_samples, plus (kernel, twiddle) off 5-smooth t.
 
-    With h the symmetrised coefficients h[k] = (coeff[k] + coeff[2t - k]) / 2
-    (the real part of the direct FFT sees only that average) and
-    w[k] = exp(-i pi k / t) the packing twiddle: head = h[k] (1 + i w[k]) and
+    With h = _circulant_coefficients(t, hurst) (coeff[k] = coeff[2t - k] for k <= t)
+    and w[k] = exp(-i pi k / t) the packing twiddle: head = h[k] (1 + i w[k]) and
     tail = h[t - k] (1 - i w[k]), each times the chirp c[k] = exp(-i pi k^2 / t)
     off 5-smooth t; kernel = FFT of conj(c[j]) placed at j mod n for
     -(t - 1) <= j < ceil(t/2), n the least 5-smooth size that holds that
     convolution without wrap-around; twiddle = c[p] for p < ceil(t/2).
     At most four plans stay alive: 32 bytes per sample at 5-smooth t, about 64 elsewhere.
     """
-    coeff = _circulant_coefficients(t, hurst)
-    h = np.empty(t + 1)
-    h[0], h[t] = coeff[0], coeff[t]
-    h[1:t] = 0.5 * (coeff[1:t] + coeff[: t : -1])
+    h = _circulant_coefficients(t, hurst)
     k = np.arange(t)
     twist = 1j * np.exp(-1j * np.pi * k / t)
     plan = (h[:t] * (1.0 + twist), h[t:0:-1] * (1.0 - twist))

@@ -25,7 +25,7 @@ def write_series_binary(path: str, samples: np.ndarray) -> None:
     data = np.ascontiguousarray(samples, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, 0))
-        fh.write(data.tobytes())
+        data.tofile(fh)  # straight from the array, without a bytes copy
 
 
 def read_series_binary(path: str) -> np.ndarray:

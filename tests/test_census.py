@@ -391,9 +391,29 @@ class TestTransitionMatrix:
         def no_census(*args):
             raise AssertionError("counted windows for an unsupported length")
 
-        monkeypatch.setattr(importlib.import_module("ordent.census"), "census_lengths", no_census)
+        monkeypatch.setattr(importlib.import_module("ordent.census"), "_census_lengths", no_census)
         with pytest.raises(ValueError, match=r"2\.\.19, got 20"):
             transition_matrix(np.arange(100.0), MAX_PATTERN_LENGTH)
+
+    def test_samples_are_validated_once(self, monkeypatch):
+        calls = []
+
+        def counted(ts):
+            calls.append(ts)
+            return patterns.as_samples(ts)
+
+        monkeypatch.setattr(importlib.import_module("ordent.census"), "as_samples", counted)
+        transition_matrix(np.arange(50.0) % 7, 3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0.0, 1.0, np.nan, 2.0, 3.0], r"non-finite sample \(nan\) at index 2"),
+        ([0.0, np.inf, 1.0, 2.0, 3.0], r"non-finite sample \(inf\) at index 1"),
+        ([0.0, 1.0, 2.0], r"series of length 3 too short for transitions at window 3"),
+    ])
+    def test_bad_samples_are_refused(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            transition_matrix(bad, 3)
 
     @pytest.mark.parametrize("chunk", [7, 16])
     @pytest.mark.parametrize("length", [2, 4, 7])

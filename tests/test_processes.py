@@ -249,51 +249,68 @@ class TestFgnCovariance:
 GRID_HURST = np.round(np.arange(0.01, 1.0, 0.01), 2).tolist()
 
 
+def embedding_eigenvalues(t, hurst, middle):
+    """The 2t eigenvalues of the row cov[0 .. t-1], middle, cov[t-1 .. 1]: its full-length FFT."""
+    cov = fgn_autocovariance(np.arange(t), hurst)
+    return np.fft.fft(np.concatenate((cov, [middle], cov[-1:0:-1]))).real
+
+
+def full_fft_coefficients(t, hurst):
+    """sqrt(eigenvalue / 2t) of all 2t eigenvalues, and whether the row has cov[t] in
+    the middle: 0.0 where that row is nonnegative definite, else cov[t] (the minimal one)."""
+    eigenvalues = embedding_eigenvalues(t, hurst, 0.0)
+    minimal = bool((eigenvalues < -1e-9 * eigenvalues.max()).any())
+    if minimal:
+        # [t], not t: a 0-d lag takes numpy's scalar power, whose last bits differ
+        eigenvalues = embedding_eigenvalues(t, hurst, fgn_autocovariance([t], hurst)[0])
+    return np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t)), minimal
+
+
 class TestCirculantEmbedding:
     @pytest.mark.parametrize("t", [2, 3, 10, 1_000, 6_000])
     def test_coefficients_at_every_hurst(self, t):
+        # the real half spectrum: eigenvalues 0 .. t of the full-length FFT
         from ordent.processgen import _circulant_coefficients
 
         for hurst in GRID_HURST:
             coeff = _circulant_coefficients(t, hurst)
-            assert coeff.shape == (2 * t,)
+            assert coeff.shape == (t + 1,)
             assert np.isfinite(coeff).all() and (coeff >= 0.0).all(), hurst
             assert not coeff.flags.writeable
+            expected = full_fft_coefficients(t, hurst)[0][: t + 1]
+            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-12 * expected.max())
 
     @pytest.mark.parametrize("t", [2, 3, 10, 1_000, 6_000])
     def test_zero_middle_row_kept_wherever_it_is_valid(self, t):
-        # the samples drawn from the embedding with 0.0 in the middle keep their bits;
-        # elsewhere the embedding is the minimal one, with cov[t] in the middle
+        # the embedding has 0.0 in the middle wherever that row is nonnegative definite,
+        # elsewhere cov[t] (the minimal one): the full-length FFT's decision at every H
         from ordent.processgen import _circulant_coefficients
 
         minimal = 0
         for hurst in GRID_HURST:
-            cov = fgn_autocovariance(np.arange(t), hurst)
-            zero_middle = np.fft.fft(np.concatenate((cov, [0.0], cov[-1:0:-1]))).real
+            full, want_minimal = full_fft_coefficients(t, hurst)
+            expected = full[: t + 1]
+            other_middle = 0.0 if want_minimal else fgn_autocovariance([t], hurst)[0]
+            other = np.sqrt(np.maximum(embedding_eigenvalues(t, hurst, other_middle)[: t + 1], 0.0)
+                            / (2 * t))
             coeff = _circulant_coefficients(t, hurst)
-            if (zero_middle >= -1e-9 * zero_middle.max()).all():
-                expected = np.sqrt(np.maximum(zero_middle, 0.0) / (2 * t))
-                assert np.array_equal(coeff, expected), hurst
-            else:
-                minimal += 1
-                cov_t = fgn_autocovariance([t], hurst)
-                eigenvalues = np.fft.fft(np.concatenate((cov, cov_t, cov[-1:0:-1]))).real
-                expected = np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t))
-                np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-12 * expected.max())
+            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-12 * expected.max())
+            assert np.abs(coeff - expected).max() <= np.abs(coeff - other).max(), hurst
+            minimal += want_minimal
         assert minimal > 0  # e.g. every H >= 0.8 at t = 2, H >= 0.92 at t = 6000
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4_999, 60_000])
+    @pytest.mark.parametrize("hurst", [0.01, 0.5, 0.7, 0.99])
+    def test_one_pass_covariance_keeps_the_bits(self, t, hurst):
+        from ordent.processgen import _fgn_covariance
+
+        got = _fgn_covariance(t, hurst)
+        assert got.tobytes() == fgn_autocovariance(np.arange(t + 1), hurst).tobytes()
 
 
 def direct_fgn(t, hurst, seed):
-    """fGn by the full-length FFT of the circulant embedding, from generate's draws.
-
-    The embedding row has 0.0 in the middle where that row is nonnegative
-    definite, else cov[t]; its eigenvalues are the row's full-length FFT."""
-    cov = fgn_autocovariance(np.arange(t), hurst)
-    eigenvalues = np.fft.fft(np.concatenate((cov, [0.0], cov[-1:0:-1]))).real
-    if (eigenvalues < -1e-9 * eigenvalues.max()).any():
-        cov_t = fgn_autocovariance([t], hurst)
-        eigenvalues = np.fft.fft(np.concatenate((cov, cov_t, cov[-1:0:-1]))).real
-    coeff = np.sqrt(np.maximum(eigenvalues, 0.0) / (2 * t))
+    """fGn by the full-length FFT of the circulant embedding, from generate's draws."""
+    coeff, _ = full_fft_coefficients(t, hurst)
     rng = np.random.default_rng(seed)
     z = np.empty(2 * t, dtype=np.complex128)
     z[0] = rng.standard_normal()
@@ -320,18 +337,19 @@ class TestChirpTransform:
 
     @pytest.mark.parametrize("spec, sha256", [
         (fgn(4_999, 0.7, seed=9),
-         "aabce196bb8e2f5052c9d29820691ea70f20ac8d3134110fc468b0c3a67017d7"),
+         "d85e0564f72071bc1904c311dc014c7ddb2b2ec7f99666a2623de7d60b4225b4"),
         (fbm(60_000, 0.7, seed=0),  # the entropy-sweep draw: 59,999 increments
-         "d3324755bcb2fc26c3664e8ee97fc39a224d56e497a5e936dd995f44396c6b38"),
+         "acb14307273311b443d1bde19a0e9ad7c1500ccd132bdefbc6e2727501cea802"),
     ], ids=["fgn-4999", "fbm-60000"])
     def test_lengths_off_5_smooth_keep_their_bits(self, spec, sha256):
         samples = generate(spec).samples
         assert hashlib.sha256(samples.tobytes()).hexdigest() == sha256
 
-    # fbm(t) draws t - 1 increments: 59,999 is prime and 60,000 is 5-smooth
+    # fbm(t) draws t - 1 increments: 59,999 is prime and 60,000 is 5-smooth;
+    # fgn at H = 0.95 is where the samples sit furthest from the direct transform
     @pytest.mark.parametrize("make, t, hurst", [(fbm, 60_000, 0.7), (fgn, 60_000, 0.75),
-                                                (fbm, 60_001, 0.7)],
-                             ids=["fbm-60000", "fgn-60000", "fbm-60001"])
+                                                (fbm, 60_001, 0.7), (fgn, 60_000, 0.95)],
+                             ids=["fbm-60000", "fgn-60000", "fbm-60001", "fgn-60000-h95"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fbm_census_is_unchanged(self, make, t, hurst, seed):
         from ordent import census_lengths

@@ -149,6 +149,22 @@ def test_trailing_nul_in_an_object_array_cell_is_refused():
         written(("label", "n"), (np.array(["x\0", "y"], dtype=object), [1, 2]))
 
 
+@pytest.mark.parametrize("samples", [
+    np.array([0.0]),
+    np.array([-0.0, 1.5, np.pi, -1e308, 5e-324]),
+    np.arange(10.0)[::3],  # strided: written as its contiguous copy
+    np.arange(7, dtype=np.int32),  # cast to float64 first
+    np.linspace(0.0, 1.0, 100_003).astype(">f8"),  # big-endian: written little-endian
+])
+def test_series_binary_is_header_and_little_endian_bytes(tmp_path, samples):
+    path = str(tmp_path / "s.bin")
+    serialize.write_series_binary(path, samples)
+    want = np.ascontiguousarray(samples, dtype="<f8")
+    with open(path, "rb") as fh:
+        assert fh.read() == serialize._HEADER.pack(serialize._MAGIC, 1, 0) + want.tobytes()
+    assert np.array_equal(serialize.read_series_binary(path), want)
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_series_csv_blocks(monkeypatch, n):
     monkeypatch.setattr(serialize, "_BLOCK", 3)
